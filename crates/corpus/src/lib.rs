@@ -5,7 +5,8 @@
 //! The corpus is a declarative **cell matrix** ([`matrix`]); every cell
 //! names a spec and how to judge its run:
 //!
-//! - **Golden** cells (small N) byte-compare the deterministic event
+//! - **Golden** cells (N = 24, and N = 400 where candidate pruning
+//!   binds) byte-compare the deterministic event
 //!   stream (as an FNV-1a digest) and the report against a checked-in
 //!   ledger under `tests/corpus/golden/`. Regeneration is explicit
 //!   (`qlec-corpus --regen`) so a behavior change has to be committed
@@ -195,7 +196,7 @@ pub struct Cell {
     pub kind: CellKind,
 }
 
-/// The fault plan shared by the faulted small-N golden cell: one event
+/// The fault plan shared by the faulted golden cells: one event
 /// of every windowed flavor so ledger diffs cover the full directive
 /// surface (crash, drain, blackout + recovery, BS outage).
 fn golden_fault_plan(m: f64) -> FaultPlan {
@@ -284,6 +285,21 @@ pub fn matrix() -> Vec<Cell> {
                 faults: Some(golden_fault_plan(200.0)),
                 rounds: 4,
                 ..small("qlec")
+            },
+            kind: CellKind::Golden,
+        },
+        // k = 20 exceeds the Theorem-1 candidate budget (15), so these
+        // two ledgers cover the pruned Send-Data path that runs at scale.
+        Cell {
+            name: "golden/qlec-400",
+            spec: medium.clone(),
+            kind: CellKind::Golden,
+        },
+        Cell {
+            name: "golden/qlec-400-faulted",
+            spec: SimSpec {
+                faults: Some(golden_fault_plan(200.0)),
+                ..medium.clone()
             },
             kind: CellKind::Golden,
         },
