@@ -11,7 +11,7 @@
 //!
 //! Usage: `cargo run --release -p qlec-bench --bin scale -- \
 //!     [--sizes 100,1000,10000] [--threads 1] [--rounds 20] \
-//!     [--candidates auto|legacy-auto|full|<n>] \
+//!     [--candidates auto|full|<n>] \
 //!     [--head-index incremental,rebuild] [--q-rows sparse,dense] \
 //!     [--lambda 5] [--seed 42] \
 //!     [--events-sink sync,async] [--out BENCH_scale.json] [--append] \
@@ -132,8 +132,8 @@ struct ScaleRun {
     /// The worker count the engine actually used (`SimReport::threads`)
     /// — never 0, so an `auto` sweep records the machine it ran on.
     threads_resolved: usize,
-    /// `Send-Data` candidate pruning policy spelling (`auto`,
-    /// `legacy-auto`, `full`, or a fixed budget as an integer string).
+    /// `Send-Data` candidate pruning policy spelling (`auto`, `full`, or
+    /// a fixed budget as an integer string).
     candidates: String,
     /// Spatial-index maintenance mode (`incremental` or `rebuild`).
     head_index: String,
@@ -484,7 +484,6 @@ fn gate_thread_scaling(
 fn policy_label(policy: CandidatePolicy) -> String {
     match policy {
         CandidatePolicy::Auto => "auto".into(),
-        CandidatePolicy::LegacyAuto => "legacy-auto".into(),
         CandidatePolicy::Full => "full".into(),
         CandidatePolicy::Fixed(c) => c.to_string(),
     }
@@ -772,7 +771,7 @@ fn validate_scale_json(text: &str) -> Result<(), String> {
             Some(c) if CandidatePolicy::parse(c).is_ok() => {}
             _ => {
                 return Err(format!(
-                    "runs[{i}].candidates must be auto, legacy-auto, full or a positive integer"
+                    "runs[{i}].candidates must be auto, full or a positive integer"
                 ))
             }
         }

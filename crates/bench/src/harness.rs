@@ -50,12 +50,6 @@ impl ProtocolKind {
         ProtocolKind::Deec,
     ];
 
-    /// Display label (prefer `to_string()` / `format!` directly).
-    #[deprecated(since = "0.1.0", note = "use the `Display` impl (`to_string()`)")]
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
-
     /// Instantiate a fresh protocol for one run. The cluster count comes
     /// from `params.k_override` (the paper's §5.1 `k = 5` when unset) and
     /// the horizon from `params.total_rounds`; the remaining fields only
@@ -505,9 +499,6 @@ mod tests {
         }
         assert_eq!("kmeans".parse::<ProtocolKind>(), Ok(ProtocolKind::KMeans));
         assert!("warp-drive".parse::<ProtocolKind>().is_err());
-        #[allow(deprecated)]
-        let legacy = ProtocolKind::Qlec.label();
-        assert_eq!(legacy, "qlec");
     }
 
     #[test]

@@ -35,7 +35,7 @@ USAGE:
                     [--protocol qlec|fcm|kmeans|leach|deec|heed] [--n 100]
                     [--m 200] [--energy 5] [--k 5] [--lambda 5] [--rounds 20]
                     [--seed 42] [--death-line 0] [--threads 1]
-                    [--candidates auto|legacy-auto|full|C]
+                    [--candidates auto|full|C]
                     [--head-index incremental|rebuild] [--q-rows sparse|dense]
                     [--json]
                     [--trace FILE] [--svg FILE] [--chart FILE]
@@ -81,8 +81,8 @@ NOTES:
   produces byte-identical events and reports.
   --candidates sets QLEC's Send-Data pruning: auto derives the
   Theorem-1 budget k if k <= 8 else min(k, ceil(8 + sqrt(16 ln k)))
-  (default), legacy-auto is the old flat min(k, 8), full is the
-  paper-exact full scan, an integer C pins the budget.
+  (default), full is the paper-exact full scan, an integer C pins
+  the budget.
   --head-index picks how QLEC maintains its spatial indexes:
   incremental (default) applies per-round deltas with a churn-triggered
   rebuild fallback, rebuild reconstructs them every round. Both modes
@@ -797,13 +797,29 @@ mod tests {
     fn candidates_flag_is_validated_and_inert_when_large() {
         assert!(run(&["run", "--n", "20", "--rounds", "1", "--candidates", "0"]).is_err());
         assert!(run(&["run", "--n", "20", "--rounds", "1", "--candidates", "maybe"]).is_err());
+        // The removed `legacy-auto` spelling (the flat min(k, 8), which
+        // `--candidates 8` reproduces) is rejected by the parse error.
+        let err = run(&[
+            "run",
+            "--n",
+            "20",
+            "--rounds",
+            "1",
+            "--candidates",
+            "legacy-auto",
+        ])
+        .unwrap_err();
+        assert!(
+            err.contains("expected auto, full or a positive integer"),
+            "{err}"
+        );
         let base = run(&[
             "run", "--n", "20", "--rounds", "2", "--lambda", "8", "--json",
         ])
         .unwrap();
         // Default (auto), an over-large fixed budget, and the explicit
         // full scan all resolve to the same scan at k = 5.
-        for spelling in ["auto", "legacy-auto", "full", "50"] {
+        for spelling in ["auto", "full", "50"] {
             let pruned = run(&[
                 "run",
                 "--n",

@@ -12,7 +12,7 @@
 //! the same spec file reproduces the same run under any artifact set.
 //!
 //! The JSON shape uses the CLI spellings everywhere — `"candidates"`
-//! accepts `"auto"`, `"legacy-auto"`, `"full"`, or a positive integer;
+//! accepts `"auto"`, `"full"`, or a positive integer;
 //! `"head_index"` accepts `"incremental"` or `"rebuild"`; `"q_rows"`
 //! accepts `"sparse"` or `"dense"`; `"threads"`
 //! accepts a positive integer or `"auto"` — and every field is optional
@@ -204,7 +204,6 @@ impl Serialize for SimSpec {
         let candidates = match self.candidates {
             CandidatePolicy::Fixed(c) => Value::UInt(c as u64),
             CandidatePolicy::Auto => Value::Str("auto".to_string()),
-            CandidatePolicy::LegacyAuto => Value::Str("legacy-auto".to_string()),
             CandidatePolicy::Full => Value::Str("full".to_string()),
         };
         let mut fields = vec![

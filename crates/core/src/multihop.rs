@@ -238,10 +238,6 @@ impl Protocol for MultiHopQlec {
     fn absorb_plan(&mut self, src: NodeId, scratch: qlec_net::protocol::PlanScratch) {
         self.inner.absorb_plan(src, scratch);
     }
-
-    fn configure_threads(&mut self, threads: usize) {
-        self.inner.configure_threads(threads);
-    }
 }
 
 #[cfg(test)]

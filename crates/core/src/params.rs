@@ -22,11 +22,6 @@ pub enum CandidatePolicy {
     /// path. The default.
     #[default]
     Auto,
-    /// The pre-Theorem-1 heuristic budget,
-    /// [`auto_candidate_heads`]`(k) = min(k, 8)`. Kept under the CLI
-    /// spelling `legacy-auto` so existing experiment configurations
-    /// reproduce byte-for-byte.
-    LegacyAuto,
     /// Always scan every head — byte-for-byte the paper's behaviour at
     /// any scale.
     Full,
@@ -35,43 +30,26 @@ pub enum CandidatePolicy {
     Fixed(usize),
 }
 
-/// The [`CandidatePolicy::LegacyAuto`] budget for a cluster count `k`.
-///
-/// `min(k, 8)`: within a cluster-head coverage radius `d_c` (Eq. 5 ties
-/// it to the deployment side and `k`), the Q comparison is dominated by
-/// the nearest few heads — the transmission-cost term `y(·,·)` of
-/// Eq. 18 grows with `d²`/`d⁴`, so far heads lose the argmax except
-/// under extreme energy skew. The flat cap ignores how densely heads
-/// pack as `k` grows, which is why [`CandidatePolicy::Auto`] now derives
-/// the budget from Theorem 1 instead; this heuristic survives for
-/// reproducibility of older runs.
-pub fn auto_candidate_heads(k: usize) -> usize {
-    k.min(8)
-}
-
 impl CandidatePolicy {
     /// Resolve to a per-packet candidate budget for a round planned with
     /// `k` clusters; `None` means scan every head.
     pub fn budget(&self, k: usize) -> Option<usize> {
         match self {
             CandidatePolicy::Auto => Some(crate::kopt::auto_candidate_budget(k)),
-            CandidatePolicy::LegacyAuto => Some(auto_candidate_heads(k)),
             CandidatePolicy::Full => None,
             CandidatePolicy::Fixed(c) => Some(*c),
         }
     }
 
-    /// Parse the CLI spelling: `auto`, `legacy-auto`, `full`, or a
-    /// positive integer.
+    /// Parse the CLI spelling: `auto`, `full`, or a positive integer.
     pub fn parse(text: &str) -> Result<CandidatePolicy, String> {
         match text {
             "auto" => Ok(CandidatePolicy::Auto),
-            "legacy-auto" => Ok(CandidatePolicy::LegacyAuto),
             "full" => Ok(CandidatePolicy::Full),
             _ => match text.parse::<usize>() {
                 Ok(c) if c > 0 => Ok(CandidatePolicy::Fixed(c)),
                 _ => Err(format!(
-                    "expected auto, legacy-auto, full or a positive integer, got `{text}`"
+                    "expected auto, full or a positive integer, got `{text}`"
                 )),
             },
         }
@@ -378,15 +356,12 @@ mod tests {
 
     #[test]
     fn candidate_policy_resolves_and_parses() {
-        // Both auto flavours are inert (budget ≥ any possible head
-        // count) up to k = 8 — the bit-identical lock.
+        // Auto is inert (budget ≥ any possible head count) up to k = 8
+        // — the bit-identical lock.
         for k in 1..=8 {
             assert_eq!(CandidatePolicy::Auto.budget(k), Some(k));
-            assert_eq!(CandidatePolicy::LegacyAuto.budget(k), Some(k));
         }
-        // Past that they diverge: legacy pins 8, Theorem 1 adds the
-        // Poisson tail margin.
-        assert_eq!(CandidatePolicy::LegacyAuto.budget(40), Some(8));
+        // Past that Theorem 1 adds the Poisson tail margin.
         assert_eq!(
             CandidatePolicy::Auto.budget(40),
             Some(crate::kopt::auto_candidate_budget(40))
@@ -401,10 +376,6 @@ mod tests {
             CandidatePolicy::Auto
         );
         assert_eq!(
-            CandidatePolicy::parse("legacy-auto").unwrap(),
-            CandidatePolicy::LegacyAuto
-        );
-        assert_eq!(
             CandidatePolicy::parse("full").unwrap(),
             CandidatePolicy::Full
         );
@@ -412,7 +383,7 @@ mod tests {
             CandidatePolicy::parse("12").unwrap(),
             CandidatePolicy::Fixed(12)
         );
-        for bad in ["", "0", "-3", "Auto", "8.5", "legacyauto"] {
+        for bad in ["", "0", "-3", "Auto", "8.5", "legacyauto", "legacy-auto"] {
             assert!(
                 CandidatePolicy::parse(bad).is_err(),
                 "`{bad}` should not parse"

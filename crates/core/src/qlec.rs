@@ -87,25 +87,16 @@ pub struct QlecProtocol {
     q_rows_store: Option<QRowStore>,
     /// Reused scratch for the per-packet k-nearest query (tree window).
     knn_buf: Vec<(u32, f64)>,
-    /// Reused scratch receiving the `(id, dist²)` candidate ranking.
-    knn_out: Vec<(u32, f64)>,
     /// Reused scratch holding the pruned candidate head set.
     candidate_buf: Vec<NodeId>,
     /// Per-round cache of the k-nearest head ranking per source node,
-    /// used by merge-time retargets when `threads > 1`. The ranking
+    /// used by `choose_target` (merge-time retargets). The ranking
     /// depends only on the source position and `head_index` — both
-    /// frozen between `on_round_start` calls — so the first retarget of
-    /// a node this round pays the tree walk and later ones reuse it; the
-    /// alive filter stays live either way, so the candidate set (and
-    /// every downstream byte) matches the uncached query exactly.
+    /// frozen between `on_round_start` calls — so the first query of a
+    /// node this round pays the tree walk and later ones reuse it; the
+    /// alive filter stays live, so heads that die mid-round drop out of
+    /// the candidate set exactly as a fresh query would drop them.
     retarget_knn: HashMap<u32, Vec<(u32, f64)>>,
-    /// Reused per-action constant buffer for the cached `Send-Data`
-    /// kernel ([`QRouter::send_data_excluding_cached`], `threads > 1`).
-    action_buf: Vec<ActionConst>,
-    /// Resolved engine thread count (see [`Protocol::configure_threads`]);
-    /// sizes the batched head V refreshes and selects the cached
-    /// `Send-Data` kernel (`threads > 1`) over the reference one.
-    threads: usize,
 }
 
 /// Fluent configuration for [`QlecProtocol`] — the one way to assemble a
@@ -237,7 +228,7 @@ impl QlecBuilder {
     }
 
     /// Attach an observer set. Pass a clone of the set given to
-    /// [`qlec_net::Simulator::observed`] so protocol-level events (Q
+    /// [`qlec_net::SimBuilder::observers`] so protocol-level events (Q
     /// updates, HELLO withdrawals, Q-routing timing) land in the same
     /// sinks as the simulator's.
     pub fn observer(mut self, obs: ObserverSet) -> Self {
@@ -274,11 +265,8 @@ impl QlecBuilder {
             roster_alive: Vec::new(),
             q_rows_store: None,
             knn_buf: Vec::new(),
-            knn_out: Vec::new(),
             candidate_buf: Vec::new(),
             retarget_knn: HashMap::new(),
-            action_buf: Vec::new(),
-            threads: 1,
         }
     }
 }
@@ -502,8 +490,7 @@ impl Protocol for QlecProtocol {
         // values instead of stale ones.
         if self.q_routing {
             if let Some(router) = self.router.as_mut() {
-                let deltas =
-                    router.head_update_batch(net, &heads, self.aggregate_share, self.threads);
+                let deltas = router.head_update_batch(net, &heads, self.aggregate_share);
                 if let Some(store) = self.q_rows_store.as_mut() {
                     for &h in &heads {
                         store.record(h.0, u32::MAX, router.v_of(h));
@@ -548,47 +535,24 @@ impl Protocol for QlecProtocol {
             // full list (the router skips dead heads itself).
             let candidates: &[NodeId] = if self.candidates_active {
                 let c = self.candidate_budget;
-                if self.threads > 1 {
-                    // Merge-time retargets re-query the same frozen index
-                    // per source node; cache the ranking for the round
-                    // and keep only the alive filter live.
-                    if !self.retarget_knn.contains_key(&src.0) {
-                        let window = (c + 8).min(self.head_index.len());
-                        self.head_index.k_nearest_into(
-                            net.node(src).pos,
-                            window,
-                            &mut self.knn_buf,
-                            &mut self.knn_out,
-                        );
-                        self.retarget_knn.insert(src.0, self.knn_out.clone());
-                    }
-                    let knn = &self.retarget_knn[&src.0];
-                    self.candidate_buf.clear();
-                    for &(id, _) in knn {
-                        let h = NodeId(id);
-                        if net.node(h).is_alive() {
-                            self.candidate_buf.push(h);
-                            if self.candidate_buf.len() == c {
-                                break;
-                            }
-                        }
-                    }
-                } else {
+                let knn = self.retarget_knn.entry(src.0).or_insert_with(|| {
                     let window = (c + 8).min(self.head_index.len());
+                    let mut ranking = Vec::new();
                     self.head_index.k_nearest_into(
                         net.node(src).pos,
                         window,
                         &mut self.knn_buf,
-                        &mut self.knn_out,
+                        &mut ranking,
                     );
-                    self.candidate_buf.clear();
-                    for &(id, _) in &self.knn_out {
-                        let h = NodeId(id);
-                        if net.node(h).is_alive() {
-                            self.candidate_buf.push(h);
-                            if self.candidate_buf.len() == c {
-                                break;
-                            }
+                    ranking
+                });
+                self.candidate_buf.clear();
+                for &(id, _) in knn.iter() {
+                    let h = NodeId(id);
+                    if net.node(h).is_alive() {
+                        self.candidate_buf.push(h);
+                        if self.candidate_buf.len() == c {
+                            break;
                         }
                     }
                 }
@@ -605,17 +569,7 @@ impl Protocol for QlecProtocol {
                 .router
                 .as_mut()
                 .expect("router initialized in on_round_start");
-            let target = if self.threads > 1 {
-                router.send_data_excluding_cached(
-                    net,
-                    src,
-                    candidates,
-                    excluded,
-                    &mut self.action_buf,
-                )
-            } else {
-                router.send_data_excluding(net, src, candidates, excluded)
-            };
+            let target = router.send_data_excluding(net, src, candidates, excluded);
             if let Some(store) = self.q_rows_store.as_mut() {
                 store.record(src.0, overlay_key(target), router.v_of(src));
             }
@@ -647,7 +601,7 @@ impl Protocol for QlecProtocol {
         // BS-hop Q after data fusion.
         if let Some(router) = self.router.as_mut() {
             let start_ns = self.obs.now_ns();
-            let deltas = router.head_update_batch(net, heads, self.aggregate_share, self.threads);
+            let deltas = router.head_update_batch(net, heads, self.aggregate_share);
             if let Some(store) = self.q_rows_store.as_mut() {
                 for &h in heads {
                     store.record(h.0, u32::MAX, router.v_of(h));
@@ -711,10 +665,6 @@ impl Protocol for QlecProtocol {
             }
         }
     }
-
-    fn configure_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
 }
 
 /// Per-node planning state for the parallel engine (one per member node
@@ -741,11 +691,10 @@ struct QlecPlanScratch {
     /// Whether `candidate_buf` already holds this node's pruned set.
     /// Planning sees a frozen network, so the query — and the alive
     /// filter — return the same set for every attempt of every packet of
-    /// the node; with `threads > 1` the first attempt pays the tree walk
-    /// and the rest reuse it (`threads = 1` keeps the per-attempt
-    /// reference query it is differentially tested against).
+    /// the node: the first attempt pays the tree walk and the rest reuse
+    /// it.
     knn_ready: bool,
-    /// Per-action constant buffer for the cached `Send-Data` kernel.
+    /// Per-action constant buffer for the `Send-Data` kernel.
     action_buf: Vec<ActionConst>,
     /// Signed `V*(src)` change per planned packet, in packet order.
     deltas: Vec<f64>,
@@ -824,12 +773,10 @@ impl RoutePlanner for QlecProtocol {
         } = s;
         // Same pruned-candidate query as `choose_target`, on the
         // node-private buffers (the index itself is only read — `&self`
-        // planning stays free of interior mutation). With `threads > 1`
-        // the set is computed once per node (the network is frozen while
-        // planning, so per-attempt re-queries are pure repetition).
-        let cache_set = self.threads > 1;
+        // planning stays free of interior mutation), computed once per
+        // node: the network is frozen while planning.
         let candidates: &[NodeId] = if self.candidates_active {
-            if !(cache_set && *knn_ready) {
+            if !*knn_ready {
                 let c = self.candidate_budget;
                 let window = (c + 8).min(self.head_index.len());
                 self.head_index
@@ -863,13 +810,9 @@ impl RoutePlanner for QlecProtocol {
             }
         };
         let v_before = *v_src;
-        let target = if cache_set {
-            router.send_data_core_cached(
-                net, src, candidates, nacked, v_src, &p_base, updates, action_buf,
-            )
-        } else {
-            router.send_data_core(net, src, candidates, nacked, v_src, &p_base, updates)
-        };
+        let target = router.send_data_core_cached(
+            net, src, candidates, nacked, v_src, &p_base, updates, action_buf,
+        );
         deltas.push(*v_src - v_before);
         decisions.push((overlay_key(target), *v_src));
         if self.obs.is_active() {

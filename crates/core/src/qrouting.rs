@@ -109,7 +109,7 @@ impl LinkEstimator {
 /// Q-value except the failure self-loop term that the fixed point
 /// iterates on.
 #[derive(Debug, Clone, Copy)]
-pub struct ActionConst {
+pub(crate) struct ActionConst {
     target: Target,
     p_ok: f64,
     r_t: f64,
@@ -134,6 +134,9 @@ pub struct QRouter {
     pub convergence: ConvergenceTracker,
     /// Signed V change of the most recent update (observability).
     last_delta: f64,
+    /// Reused action buffer of [`QRouter::send_data_excluding`], so
+    /// per-packet calls allocate nothing in steady state.
+    action_buf: Vec<ActionConst>,
 }
 
 impl QRouter {
@@ -155,6 +158,7 @@ impl QRouter {
             updates: UpdateCounter::new(),
             convergence: ConvergenceTracker::new(1e-4),
             last_delta: 0.0,
+            action_buf: Vec::new(),
         }
     }
 
@@ -221,31 +225,12 @@ impl QRouter {
     /// two-outcome continuation (Eq. 15 specialised to
     /// `{delivered → target, lost → self}`).
     pub fn q_value(&self, net: &Network, src: NodeId, target: Target, penalize_bs: bool) -> f64 {
-        self.q_value_with_p(
-            net,
-            src,
-            target,
-            penalize_bs,
-            self.links.probability(src, target),
-        )
-    }
-
-    /// [`QRouter::q_value`] with an explicit link probability (used by the
-    /// per-packet NACK override in [`QRouter::send_data_excluding`]).
-    fn q_value_with_p(
-        &self,
-        net: &Network,
-        src: NodeId,
-        target: Target,
-        penalize_bs: bool,
-        p_ok: f64,
-    ) -> f64 {
+        let p_ok = self.links.probability(src, target);
         self.q_value_with_p_v(net, src, target, penalize_bs, p_ok, self.v[src.index()])
     }
 
-    /// [`QRouter::q_value_with_p`] with an explicit `V*(src)` as well, so
-    /// plan-time code can iterate a node's fixed point on a local copy
-    /// without writing through to the shared table.
+    /// [`QRouter::q_value`] with an explicit link probability and
+    /// `V*(src)`.
     fn q_value_with_p_v(
         &self,
         net: &Network,
@@ -255,13 +240,30 @@ impl QRouter {
         p_ok: f64,
         v_src: f64,
     ) -> f64 {
-        let r_t = p_ok * self.reward_success(net, src, target, penalize_bs)
-            + (1.0 - p_ok) * self.reward_failure(net, src, target);
-        let v_target = match target {
-            Target::Bs => 0.0, // terminal
+        let r_t = self.expected_reward(net, src, target, penalize_bs, p_ok);
+        r_t + self.params.gamma * (p_ok * self.v_target(target) + (1.0 - p_ok) * v_src)
+    }
+
+    /// Eq. 16: the expected reward `R_t` of one hop under link belief
+    /// `p_ok`.
+    fn expected_reward(
+        &self,
+        net: &Network,
+        src: NodeId,
+        target: Target,
+        penalize_bs: bool,
+        p_ok: f64,
+    ) -> f64 {
+        p_ok * self.reward_success(net, src, target, penalize_bs)
+            + (1.0 - p_ok) * self.reward_failure(net, src, target)
+    }
+
+    /// `V*` of a forwarding target; the BS is terminal and pinned at 0.
+    fn v_target(&self, target: Target) -> f64 {
+        match target {
+            Target::Bs => 0.0,
             Target::Head(h) => self.v[h.index()],
-        };
-        r_t + self.params.gamma * (p_ok * v_target + (1.0 - p_ok) * v_src)
+        }
     }
 
     /// Algorithm 4 (`Send-Data`): compute Q for every current head and the
@@ -300,23 +302,28 @@ impl QRouter {
         let v_before = self.v[src.index()];
         let mut v_src = v_before;
         let mut updates = 0u64;
+        let mut scratch = std::mem::take(&mut self.action_buf);
         let p_base = |t: Target| self.links.probability(src, t);
-        let action =
-            self.send_data_core(net, src, heads, nacked, &mut v_src, &p_base, &mut updates);
-        self.v[src.index()] = v_src;
-        self.updates.add(updates);
-        self.last_delta = v_src - v_before;
-        self.convergence.observe(self.last_delta.abs());
+        let action = self.send_data_core_cached(
+            net,
+            src,
+            heads,
+            nacked,
+            &mut v_src,
+            &p_base,
+            &mut updates,
+            &mut scratch,
+        );
+        self.action_buf = scratch;
+        self.absorb_plan(src, v_src, updates, &[v_src - v_before]);
         action
     }
 
-    /// The Algorithm 4 fixed-point iteration, side-effect-free: `V*(src)`
-    /// lives in the caller-owned `v_src`, link beliefs come from the
-    /// caller-supplied `p_base` (so a planning pass can layer pending
-    /// per-packet EWMA updates over the shared table), and elementary
-    /// Q-computation counts accumulate in `updates`. Operation order is
-    /// identical to the former in-place loop, so committing `v_src` back
-    /// afterwards reproduces [`QRouter::send_data_excluding`] bit for bit.
+    /// The reference Algorithm 4 fixed-point iteration: every sweep
+    /// recomputes every action's Q-value from scratch. Test-only — it is
+    /// the oracle [`QRouter::send_data_core_cached`] must match bit for
+    /// bit (see `cached_kernel_is_bit_identical`).
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn send_data_core(
         &self,
@@ -365,57 +372,23 @@ impl QRouter {
         action
     }
 
-    /// [`QRouter::send_data_excluding`] on the cached-constant kernel
-    /// ([`QRouter::send_data_core_cached`]): same decision, same
-    /// bookkeeping, bit-identical numbers. The parallel engine
-    /// (`threads > 1`) routes its merge-time retargets through this
-    /// entry point; the single-threaded path keeps the straightforward
-    /// reference kernel it is differentially tested against.
-    pub fn send_data_excluding_cached(
-        &mut self,
-        net: &Network,
-        src: NodeId,
-        heads: &[NodeId],
-        nacked: &[Target],
-        scratch: &mut Vec<ActionConst>,
-    ) -> Target {
-        let v_before = self.v[src.index()];
-        let mut v_src = v_before;
-        let mut updates = 0u64;
-        let p_base = |t: Target| self.links.probability(src, t);
-        let action = self.send_data_core_cached(
-            net,
-            src,
-            heads,
-            nacked,
-            &mut v_src,
-            &p_base,
-            &mut updates,
-            scratch,
-        );
-        self.v[src.index()] = v_src;
-        self.updates.add(updates);
-        self.last_delta = v_src - v_before;
-        self.convergence.observe(self.last_delta.abs());
-        action
-    }
-
-    /// [`QRouter::send_data_core`] with the per-action constants hoisted
-    /// out of the sweep loop. Within one call the network is frozen
-    /// (`&Network`) and the NACK list fixed, so each action's link belief
-    /// `P`, Eq. 16 expected reward `R_t`, and target `V*` are sweep
-    /// invariants — only the failure self-loop term `γ·(1−P)·V*(src)`
-    /// changes as the fixed point iterates. The reference kernel
-    /// recomputes all of them every sweep (each reward carries a distance
-    /// square root and two battery reads); hoisting preserves the exact
-    /// expression tree `R_t + γ·(P·V*(target) + (1−P)·V*(src))`, so every
-    /// intermediate f64 — and the elementary-update count, the paper's
-    /// `X` — is bit-identical to [`QRouter::send_data_core`]. Locked by
-    /// the `cached_kernel_is_bit_identical` test below and, end to end,
-    /// by the thread-equivalence byte diffs.
+    /// The Algorithm 4 fixed-point iteration, side-effect-free: `V*(src)`
+    /// lives in the caller-owned `v_src`, link beliefs come from the
+    /// caller-supplied `p_base` (so a planning pass can layer pending
+    /// per-packet EWMA updates over the shared table), and elementary
+    /// Q-computation counts accumulate in `updates`.
     ///
-    /// `scratch` is the caller-owned action buffer (cleared here), so
-    /// per-packet calls allocate nothing in steady state.
+    /// Within one call the network is frozen (`&Network`) and the NACK
+    /// list fixed, so each action's link belief `P`, Eq. 16 expected
+    /// reward `R_t`, and target `V*` are sweep invariants, computed once
+    /// into `scratch` (the caller-owned action buffer, cleared here) —
+    /// only the failure self-loop term `γ·(1−P)·V*(src)` changes as the
+    /// fixed point iterates. The expression tree
+    /// `R_t + γ·(P·V*(target) + (1−P)·V*(src))` is the one
+    /// [`QRouter::q_value`] evaluates, so every intermediate f64 and the
+    /// elementary-update count (the paper's `X`) match a kernel that
+    /// recomputes every Q-value each sweep; the test-only reference
+    /// kernel `send_data_core` locks that bit for bit.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn send_data_core_cached(
         &self,
@@ -435,34 +408,21 @@ impl QRouter {
             p_base(t) * 0.5f64.powi(n)
         };
 
-        // Dead heads are skipped here exactly as the reference skips them
-        // per sweep — before the elementary-update counter — and the BS
-        // action comes last, preserving the argmax comparison order.
+        // Dead heads are skipped before the elementary-update counter,
+        // and the BS action comes last, fixing the argmax comparison
+        // order (ties keep the earlier action).
         scratch.clear();
-        for &h in heads {
-            if !net.node(h).is_alive() {
-                continue;
-            }
-            let t = Target::Head(h);
-            let p_ok = p_of(t);
-            let r_t = p_ok * self.reward_success(net, src, t, true)
-                + (1.0 - p_ok) * self.reward_failure(net, src, t);
+        let alive_heads = heads
+            .iter()
+            .filter(|&&h| net.node(h).is_alive())
+            .map(|&h| Target::Head(h));
+        for target in alive_heads.chain(std::iter::once(Target::Bs)) {
+            let p_ok = p_of(target);
             scratch.push(ActionConst {
-                target: t,
+                target,
                 p_ok,
-                r_t,
-                v_target: self.v[h.index()],
-            });
-        }
-        {
-            let p_ok = p_of(Target::Bs);
-            let r_t = p_ok * self.reward_success(net, src, Target::Bs, true)
-                + (1.0 - p_ok) * self.reward_failure(net, src, Target::Bs);
-            scratch.push(ActionConst {
-                target: Target::Bs,
-                p_ok,
-                r_t,
-                v_target: 0.0, // terminal
+                r_t: self.expected_reward(net, src, target, true, p_ok),
+                v_target: self.v_target(target),
             });
         }
 
@@ -488,11 +448,11 @@ impl QRouter {
     }
 
     /// Commit the outcome of a planning pass that ran
-    /// `QRouter::send_data_core` (possibly several times, one per
+    /// `QRouter::send_data_core_cached` (possibly several times, one per
     /// packet) on a local `V*` copy: write the final value back, fold in
     /// the elementary-update count, and replay the per-packet signed
     /// deltas through the convergence tracker in packet order — exactly
-    /// the bookkeeping the in-place path does per call.
+    /// the bookkeeping [`QRouter::send_data_excluding`] does per call.
     pub fn absorb_plan(&mut self, src: NodeId, v_src: f64, updates: u64, deltas: &[f64]) {
         self.v[src.index()] = v_src;
         self.updates.add(updates);
@@ -517,18 +477,6 @@ impl QRouter {
             (0.0..=1.0).contains(&aggregate_share),
             "aggregate_share must be in [0,1], got {aggregate_share}"
         );
-        let q = self.head_q(net, head, aggregate_share);
-        self.updates.bump();
-        self.last_delta = q - self.v[head.index()];
-        self.convergence.observe(self.last_delta.abs());
-        self.v[head.index()] = q;
-    }
-
-    /// The pure Q-value behind [`QRouter::head_update`]. Reads only the
-    /// head's own `V` (plus the shared link table and frozen network), so
-    /// distinct heads' values can be computed in any order — or in
-    /// parallel — without changing a single bit.
-    fn head_q(&self, net: &Network, head: NodeId, aggregate_share: f64) -> f64 {
         let p = self.params;
         let p_ok = self.links.probability(head, Target::Bs);
         let r_success = -p.g + p.alpha1 * (self.x(net, head) + p.x_bs)
@@ -536,52 +484,29 @@ impl QRouter {
         let r_failure = -p.g + p.beta1 * self.x(net, head)
             - p.beta2 * aggregate_share * self.y(net, head, Target::Bs);
         let r_t = p_ok * r_success + (1.0 - p_ok) * r_failure;
-        r_t + p.gamma * (1.0 - p_ok) * self.v[head.index()]
+        let q = r_t + p.gamma * (1.0 - p_ok) * self.v[head.index()];
+        self.updates.bump();
+        self.last_delta = q - self.v[head.index()];
+        self.convergence.observe(self.last_delta.abs());
+        self.v[head.index()] = q;
     }
 
-    /// [`QRouter::head_update`] over a whole head roster: Q-values are
-    /// computed (in parallel when `threads > 1` — each depends only on
-    /// its own head's state) and then applied sequentially in roster
-    /// order, which reproduces the one-at-a-time loop exactly. Returns
-    /// the per-head signed deltas in roster order for event emission.
+    /// [`QRouter::head_update`] over a whole head roster, in roster
+    /// order. Returns the per-head signed deltas in roster order for
+    /// event emission.
     pub fn head_update_batch(
         &mut self,
         net: &Network,
         heads: &[NodeId],
         aggregate_share: f64,
-        threads: usize,
     ) -> Vec<f64> {
-        assert!(
-            (0.0..=1.0).contains(&aggregate_share),
-            "aggregate_share must be in [0,1], got {aggregate_share}"
-        );
-        let qs: Vec<f64> = if threads > 1 && heads.len() > 1 {
-            use rayon::prelude::*;
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool");
-            pool.install(|| {
-                heads
-                    .par_iter()
-                    .map(|&h| self.head_q(net, h, aggregate_share))
-                    .collect()
+        heads
+            .iter()
+            .map(|&h| {
+                self.head_update(net, h, aggregate_share);
+                self.last_delta
             })
-        } else {
-            heads
-                .iter()
-                .map(|&h| self.head_q(net, h, aggregate_share))
-                .collect()
-        };
-        let mut deltas = Vec::with_capacity(heads.len());
-        for (&h, &q) in heads.iter().zip(&qs) {
-            self.updates.bump();
-            self.last_delta = q - self.v[h.index()];
-            self.convergence.observe(self.last_delta.abs());
-            self.v[h.index()] = q;
-            deltas.push(self.last_delta);
-        }
-        deltas
+            .collect()
     }
 
     /// ACK feedback from the simulator.
@@ -1018,45 +943,51 @@ mod tests {
         assert!(r.updates.total() > 0);
     }
 
-    #[test]
-    fn cached_kernel_is_bit_identical() {
-        // The cached-constant kernel must reproduce the reference kernel
-        // bit for bit: same action, same V*(src) bits, same elementary
-        // update count, same signed delta — across evolving link
-        // evidence, NACK lists, dead heads, and an empty head set.
-        let mut net = NetworkBuilder::new()
-            .bs_at(Vec3::new(60.0, 40.0, 0.0))
-            .from_nodes(&[
-                (Vec3::new(0.0, 0.0, 0.0), 5.0),
-                (Vec3::new(30.0, 10.0, 0.0), 5.0),
-                (Vec3::new(150.0, 0.0, 20.0), 5.0),
-                (Vec3::new(80.0, 80.0, 80.0), 5.0),
-                (Vec3::new(10.0, 90.0, 40.0), 2.5),
-            ]);
-        net.node_mut(NodeId(3)).battery.consume(4.0);
-        let src = NodeId(0);
-        let all_heads = [NodeId(1), NodeId(2), NodeId(3), NodeId(4)];
-        let mut reference = router(&net);
+    /// [`QRouter::send_data_excluding`] on the test-only reference
+    /// kernel, with the same bookkeeping.
+    fn reference_send_data(
+        r: &mut QRouter,
+        net: &Network,
+        src: NodeId,
+        heads: &[NodeId],
+        nacked: &[Target],
+    ) -> Target {
+        let v_before = r.v_of(src);
+        let mut v_src = v_before;
+        let mut updates = 0u64;
+        let p_base = |t: Target| r.links.probability(src, t);
+        let action = r.send_data_core(net, src, heads, nacked, &mut v_src, &p_base, &mut updates);
+        r.absorb_plan(src, v_src, updates, &[v_src - v_before]);
+        action
+    }
+
+    /// Drive the production kernel and the reference kernel through the
+    /// same `steps` decisions — sources and head subsets rotating per
+    /// step, evolving link evidence and NACK lists — and require the
+    /// same action, `V*(src)` bits, elementary-update count and signed
+    /// delta after every one.
+    fn assert_kernels_agree(
+        net: &Network,
+        sources: &[NodeId],
+        head_sets: &[&[NodeId]],
+        steps: u32,
+    ) {
+        let mut reference = router(net);
         let mut cached = reference.clone();
-        let mut scratch = Vec::new();
         // Deterministic pseudo-random hop results / NACK churn.
         let mut x: u64 = 0x9E37_79B9;
         let mut nacked: Vec<Target> = Vec::new();
-        for step in 0..200 {
+        for step in 0..steps {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let heads: &[NodeId] = match step % 4 {
-                0 => &all_heads,
-                1 => &all_heads[..2],
-                2 => &all_heads[2..],
-                _ => &[],
-            };
+            let src = sources[step as usize % sources.len()];
+            let heads = head_sets[step as usize % head_sets.len()];
             if step % 7 == 0 {
                 nacked.clear();
             }
-            let a = reference.send_data_excluding(&net, src, heads, &nacked);
-            let b = cached.send_data_excluding_cached(&net, src, heads, &nacked, &mut scratch);
+            let a = reference_send_data(&mut reference, net, src, heads, &nacked);
+            let b = cached.send_data_excluding(net, src, heads, &nacked);
             assert_eq!(a, b, "action diverged at step {step}");
             assert_eq!(
                 reference.v_of(src).to_bits(),
@@ -1079,7 +1010,63 @@ mod tests {
             if !success {
                 nacked.push(a);
             }
+            // Heads refresh their V between decisions, as at a round end,
+            // so the hoisted `V*(target)` constants keep moving.
+            if step % 5 == 4 {
+                reference.head_update_batch(net, heads, 0.5);
+                cached.head_update_batch(net, heads, 0.5);
+            }
         }
+    }
+
+    #[test]
+    fn cached_kernel_is_bit_identical() {
+        // Small input: one source, a dead head, partial and empty head
+        // sets.
+        let mut net = NetworkBuilder::new()
+            .bs_at(Vec3::new(60.0, 40.0, 0.0))
+            .from_nodes(&[
+                (Vec3::new(0.0, 0.0, 0.0), 5.0),
+                (Vec3::new(30.0, 10.0, 0.0), 5.0),
+                (Vec3::new(150.0, 0.0, 20.0), 5.0),
+                (Vec3::new(80.0, 80.0, 80.0), 5.0),
+                (Vec3::new(10.0, 90.0, 40.0), 2.5),
+            ]);
+        net.node_mut(NodeId(3)).battery.consume(4.0);
+        let all_heads = [NodeId(1), NodeId(2), NodeId(3), NodeId(4)];
+        assert_kernels_agree(
+            &net,
+            &[NodeId(0)],
+            &[&all_heads, &all_heads[..2], &all_heads[2..], &[]],
+            200,
+        );
+
+        // At-scale input: 14 heads (more than the 8 the Theorem-1
+        // candidate budget keeps for small k), several sources, three
+        // dead heads and drained ones, spread through a 200 m cube.
+        let mut nodes = Vec::new();
+        let mut y: u64 = 0x2545_F491_4F6C_DD1D;
+        for i in 0..20u32 {
+            let mut coord = || {
+                y ^= y << 13;
+                y ^= y >> 7;
+                y ^= y << 17;
+                (y % 200_000) as f64 / 1000.0
+            };
+            let pos = Vec3::new(coord(), coord(), coord());
+            nodes.push((pos, if i % 3 == 0 { 2.0 } else { 5.0 }));
+        }
+        let mut net = NetworkBuilder::new()
+            .bs_at(Vec3::new(100.0, 100.0, 250.0))
+            .from_nodes(&nodes);
+        for dead in [7, 11, 16] {
+            net.node_mut(NodeId(dead)).battery.consume(10.0);
+        }
+        net.node_mut(NodeId(9)).battery.consume(3.5);
+        let sources = [NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4)];
+        let heads: Vec<NodeId> = (6..20).map(NodeId).collect();
+        assert!(heads.len() > 8);
+        assert_kernels_agree(&net, &sources, &[&heads, &heads[3..], &heads[..9]], 600);
     }
 
     #[test]

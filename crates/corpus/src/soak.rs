@@ -90,10 +90,9 @@ pub fn sample_spec(rng: &mut StdRng) -> SimSpec {
     // death/dropout paths get sampled too.
     let energy = if rng.gen_bool(0.2) { 0.5 } else { 5.0 };
     let death_line = if rng.gen_bool(0.25) { 0.05 } else { 0.0 };
-    let candidates = match rng.gen_range(0..4u32) {
+    let candidates = match rng.gen_range(0..3u32) {
         0 => CandidatePolicy::Auto,
-        1 => CandidatePolicy::LegacyAuto,
-        2 => CandidatePolicy::Full,
+        1 => CandidatePolicy::Full,
         _ => CandidatePolicy::Fixed(rng.gen_range(1..=8)),
     };
     let faults = if rng.gen_bool(0.6) {

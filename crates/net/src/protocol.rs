@@ -151,8 +151,10 @@ pub trait Protocol {
     }
 
     /// The engine's resolved worker-thread count for this run (called once
-    /// before the first round). Protocols may size internal fan-out
-    /// (e.g. batched value refreshes) accordingly.
+    /// before the first round). Informational only: a run's bytes are the
+    /// same at every thread count, so a protocol must not let this value
+    /// choose what it computes. No built-in protocol overrides it;
+    /// wrappers forward it so instrumentation can record it.
     fn configure_threads(&mut self, threads: usize) {
         let _ = threads;
     }

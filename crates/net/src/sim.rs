@@ -197,9 +197,6 @@ pub struct Simulator {
 ///     .threads(2)
 ///     .build();
 /// ```
-///
-/// Replaces the former `Simulator::builder(net).config(cfg).faults(..)
-/// .observed(..)` chain (deprecated shims remain for this release).
 pub struct SimBuilder {
     net: Network,
     cfg: SimConfig,
@@ -281,27 +278,6 @@ impl Simulator {
             faults: None,
             obs: ObserverSet::new(),
         }
-    }
-
-    /// Create a simulator. Panics on invalid configuration.
-    #[deprecated(note = "use Simulator::builder(net).config(cfg).build()")]
-    pub fn new(net: Network, cfg: SimConfig) -> Self {
-        Simulator::builder(net).config(cfg).build()
-    }
-
-    /// Attach a fault driver — see [`SimBuilder::faults`].
-    #[deprecated(note = "use SimBuilder::faults before build()")]
-    pub fn with_faults(mut self, mut driver: FaultDriver) -> Self {
-        driver.bind(&self.net.positions());
-        self.faults = Some(driver);
-        self
-    }
-
-    /// Attach an observer set — see [`SimBuilder::observers`].
-    #[deprecated(note = "use SimBuilder::observers before build()")]
-    pub fn observed(mut self, obs: ObserverSet) -> Self {
-        self.obs = obs;
-        self
     }
 
     /// The network in its current (possibly partially drained) state.
