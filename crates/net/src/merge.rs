@@ -1224,11 +1224,94 @@ mod tests {
             .expect("test pool")
     }
 
-    /// Hand-built round for `reserve`: two heads (one of them drained
-    /// flat), one member with a crafted plan sequence. Verifies the
-    /// clean classes (accept, local, exhausted refusals incl. dead
-    /// head), the frontier closing at the first unproven refusal, and
-    /// the shard-shape counters.
+    /// Commit a hand-built round through the merge entry point against
+    /// fresh per-slot queues, a nearest-head protocol for the live
+    /// continuation, and no observers.
+    #[allow(clippy::too_many_arguments)]
+    fn commit_round(
+        net: &mut Network,
+        cfg: &SimConfig,
+        heads: &[NodeId],
+        head_slot: &[i32],
+        plan_index: &[i32],
+        events: &[(f64, NodeId)],
+        planned: &mut [PlannedNode],
+    ) -> MergeOutcome {
+        // The classifier records `plan_member_packets` would emit.
+        for pn in planned.iter_mut() {
+            pn.meta = pn
+                .arrivals
+                .iter()
+                .zip(&pn.packets)
+                .map(|(&time, attempts)| match attempts.last() {
+                    None => PacketMeta::Skip,
+                    Some(PlannedAttempt::ToHead { h, .. }) => {
+                        let a = (attempts.len() - 1) as u32;
+                        let attempt_time = time + a as f64 * cfg.hop_delay;
+                        PacketMeta::Candidate {
+                            h: *h,
+                            offer_time: attempt_time + cfg.hop_delay,
+                            exhausted: attempts.len() as u32 > cfg.member_retries,
+                        }
+                    }
+                    Some(_) => PacketMeta::Local,
+                })
+                .collect();
+        }
+        let plan = MergePlan {
+            events,
+            plan_index,
+            head_slot,
+            heads,
+            round: 0,
+            cfg,
+        };
+        let mut queues: Vec<ChQueue> = heads
+            .iter()
+            .map(|_| ChQueue::new(cfg.queue_capacity, cfg.service_time, 1e9))
+            .collect();
+        let mut protocol = GreedyEnergyProtocol::new(heads.len());
+        let mut rng = StdRng::seed_from_u64(0);
+        let obs = ObserverSet::new();
+        let mut counters = PacketCounters::default();
+        let mut latency = Welford::new();
+        let mut breakdown = EnergyBreakdown::default();
+        let mut next_packet_id = 0;
+        let mut st = MergeState {
+            net,
+            protocol: &mut protocol,
+            rng: &mut rng,
+            faults: None,
+            queues: &mut queues,
+            obs: &obs,
+            counters: &mut counters,
+            latency: &mut latency,
+            breakdown: &mut breakdown,
+            next_packet_id: &mut next_packet_id,
+        };
+        commit_sharded(&test_pool(), &plan, planned, &mut st)
+    }
+
+    /// An exhausted plan, shaped as `plan_member_packets` emits it: the
+    /// whole retry budget spent on link losses before the terminal hop
+    /// lands on head `h`.
+    fn exhausted_to_head(cfg: &SimConfig, h: u32, e: f64) -> PacketPlan {
+        let mut plan = vec![
+            PlannedAttempt::Failed {
+                target: Target::Head(NodeId(h)),
+                e,
+            };
+            cfg.member_retries as usize
+        ];
+        plan.push(PlannedAttempt::ToHead { h: NodeId(h), e });
+        plan
+    }
+
+    /// Hand-built round: two heads (one of them drained flat), one
+    /// member with a crafted plan sequence. Verifies the clean classes
+    /// (accept, local, exhausted refusals incl. dead head), the frontier
+    /// closing at the first refusal with retry budget left, and the
+    /// shard-shape counters.
     #[test]
     fn reservation_classifies_and_closes_frontier() {
         let mut rng = StdRng::seed_from_u64(3);
@@ -1253,92 +1336,63 @@ mod tests {
         let mut plan_index = vec![-1i32; net.len()];
         plan_index[1] = 0;
         let e = 0.001;
-        let meta = vec![
-            // t=0.0: accepted by slot 0.
-            PacketMeta::Candidate {
-                h: NodeId(0),
-                offer_time: 0.5,
-                exhausted: false,
-            },
-            // t=1.0: local resolution (BS delivery).
-            PacketMeta::Local,
-            // t=2.0: dead-head refusal with the budget spent — clean.
-            PacketMeta::Candidate {
-                h: NodeId(3),
-                offer_time: 3.5,
-                exhausted: true,
-            },
-            // t=3.0: full-queue refusal with the budget spent — clean.
-            PacketMeta::Candidate {
-                h: NodeId(0),
-                offer_time: 4.5,
-                exhausted: true,
-            },
-            // t=4.0: full-queue refusal with budget left — closes the
-            // frontier.
-            PacketMeta::Candidate {
-                h: NodeId(0),
-                offer_time: 4.5,
-                exhausted: false,
-            },
-            // t=5.0: would be clean, but the frontier is closed.
-            PacketMeta::Local,
-        ];
         let to_head = |h: u32| -> PacketPlan { vec![PlannedAttempt::ToHead { h: NodeId(h), e }] };
-        let planned = vec![PlannedNode {
+        let mut planned = vec![PlannedNode {
             src: NodeId(1),
             arrivals: vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
             packets: vec![
+                // t=0.0: accepted by slot 0.
                 to_head(0),
+                // t=1.0: local resolution (BS delivery).
                 vec![PlannedAttempt::DeliveredBs { e }],
-                to_head(3),
+                // t=2.0: dead-head refusal with the budget spent — clean.
+                exhausted_to_head(&cfg, 3, e),
+                // t=3.0: full-queue refusal with the budget spent — clean.
+                exhausted_to_head(&cfg, 0, e),
+                // t=4.0: full-queue refusal with budget left — closes
+                // the frontier and retargets live.
                 to_head(0),
-                to_head(0),
+                // t=5.0: would be clean, but the frontier is closed.
                 vec![PlannedAttempt::DeliveredBs { e }],
             ],
-            meta,
+            meta: Vec::new(),
             scratch: None,
             cursor: 0,
         }];
         let events: Vec<(f64, NodeId)> = (0..6).map(|i| (i as f64, NodeId(1))).collect();
-        let queues = vec![
-            ChQueue::new(cfg.queue_capacity, cfg.service_time, 1e9),
-            ChQueue::new(cfg.queue_capacity, cfg.service_time, 1e9),
-        ];
-        let plan = MergePlan {
-            events: &events,
-            plan_index: &plan_index,
-            head_slot: &head_slot,
-            heads: &heads,
-            round: 0,
-            cfg: &cfg,
-        };
-        let resv = reserve(&test_pool(), &plan, &planned, &net, &queues);
-        assert_eq!(
-            resv.classes,
-            vec![
-                Reserved::Accept,
-                Reserved::Local,
-                Reserved::Refused(RefuseCause::DeadHead),
-                Reserved::Refused(RefuseCause::Full),
-                Reserved::Live,
-                Reserved::Live,
-            ]
+        let out = commit_round(
+            &mut net,
+            &cfg,
+            &heads,
+            &head_slot,
+            &plan_index,
+            &events,
+            &mut planned,
         );
-        assert_eq!(resv.clean, 4);
-        assert_eq!(resv.residue, 2);
-        // Slot 0 saw three candidates, slot 1 one; both shards non-empty.
-        assert_eq!(resv.shards, 2);
-        assert_eq!(resv.largest_shard, 3);
+        // Slot 0 saw three terminal hops, slot 1 one; both shards
+        // non-empty.
+        assert_eq!(
+            (out.clean_commits, out.residue, out.shards, out.largest_shard),
+            (4, 2, 2, 3)
+        );
+        assert_eq!(
+            (
+                out.conflict_dead_head,
+                out.conflict_queue_full,
+                out.retargets
+            ),
+            (1, 2, 1)
+        );
+        assert_eq!(out.check_invariants(), Vec::<String>::new());
     }
 
-    /// A head's own-gen packets participate in its shard replay: they
-    /// occupy the queue ahead of later candidate offers, flipping the
-    /// candidate's verdict to a refusal.
+    /// A head's own-gen packets occupy its queue ahead of later member
+    /// offers, flipping the member packet's verdict to a refusal — an
+    /// exhausted one, so it still counts clean.
     #[test]
     fn own_gen_occupancy_feeds_candidate_verdicts() {
         let mut rng = StdRng::seed_from_u64(4);
-        let net = NetworkBuilder::new()
+        let mut net = NetworkBuilder::new()
             .link(AnyLink::DistanceLoss(DistanceLossLink::for_cube(200.0)))
             .uniform_cube(&mut rng, 2, 200.0, 5.0);
         let mut cfg = SimConfig::paper(1.0);
@@ -1349,37 +1403,29 @@ mod tests {
         head_slot[0] = 0;
         let mut plan_index = vec![-1i32; net.len()];
         plan_index[1] = 0;
-        let planned = vec![PlannedNode {
+        let mut planned = vec![PlannedNode {
             src: NodeId(1),
             arrivals: vec![1.0],
-            packets: vec![vec![PlannedAttempt::ToHead {
-                h: NodeId(0),
-                e: 0.001,
-            }]],
-            meta: vec![PacketMeta::Candidate {
-                h: NodeId(0),
-                offer_time: 1.5,
-                exhausted: true,
-            }],
+            packets: vec![exhausted_to_head(&cfg, 0, 0.001)],
+            meta: Vec::new(),
             scratch: None,
             cursor: 0,
         }];
         // The head's own packet arrives first and fills the 1-slot queue.
         let events = vec![(0.0, NodeId(0)), (1.0, NodeId(1))];
-        let queues = vec![ChQueue::new(cfg.queue_capacity, cfg.service_time, 1e9)];
-        let plan = MergePlan {
-            events: &events,
-            plan_index: &plan_index,
-            head_slot: &head_slot,
-            heads: &heads,
-            round: 0,
-            cfg: &cfg,
-        };
-        let resv = reserve(&test_pool(), &plan, &planned, &net, &queues);
-        assert_eq!(
-            resv.classes,
-            vec![Reserved::Live, Reserved::Refused(RefuseCause::Full)]
+        let out = commit_round(
+            &mut net,
+            &cfg,
+            &heads,
+            &head_slot,
+            &plan_index,
+            &events,
+            &mut planned,
         );
-        assert_eq!((resv.clean, resv.residue), (1, 0));
+        assert_eq!(
+            (out.clean_commits, out.residue, out.shards, out.largest_shard),
+            (1, 0, 1, 1)
+        );
+        assert_eq!((out.conflict_queue_full, out.retargets), (1, 0));
     }
 }
