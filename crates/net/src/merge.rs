@@ -386,6 +386,10 @@ struct WalkStats {
     conflict_dead_head: u64,
     conflict_queue_full: u64,
     conflict_deadline: u64,
+    clean_commits: u64,
+    residue: u64,
+    shards: u64,
+    largest_shard: u64,
 }
 
 /// Why a proven-clean terminal refusal was refused.
@@ -708,6 +712,12 @@ pub(crate) fn commit_sharded<P: Protocol + ?Sized>(
 ) -> MergeOutcome {
     let resv = reserve(pool, plan, planned, st.net, st.queues);
     let stats = walk(plan, planned, st, Some(&resv));
+    assert_eq!(
+        (stats.clean_commits, stats.residue, stats.shards, stats.largest_shard),
+        (resv.clean, resv.residue, resv.shards, resv.largest_shard),
+        "walk-derived counters disagree with the pre-pass (round {})",
+        plan.round
+    );
     MergeOutcome {
         conflicts: stats.conflicts,
         retargets: stats.retargets,
@@ -750,6 +760,8 @@ fn walk<P: Protocol + ?Sized>(
     let link = st.net.link;
     let radio = st.net.radio;
     let mut stats = WalkStats::default();
+    let mut shard_sizes = vec![0u64; st.queues.len()];
+    let mut frontier_open = true;
 
     for (ev_idx, &(time, src)) in plan.events.iter().enumerate() {
         let pi = plan.plan_index[src.index()];
@@ -800,10 +812,23 @@ fn walk<P: Protocol + ?Sized>(
             pn.cursor += 1;
             k
         };
+        let pkt_plan = &planned[pi as usize].packets[k];
+        // Classification (see `MergeOutcome`): a member packet counts
+        // when its plan is non-empty; past the frontier it is residue
+        // whether or not its sender is still alive.
+        let counted = !pkt_plan.is_empty();
+        if let Some(PlannedAttempt::ToHead { h, .. }) = pkt_plan.last() {
+            let s = plan.head_slot[h.index()];
+            if s >= 0 {
+                shard_sizes[s as usize] += 1;
+            }
+        }
+        if counted && !frontier_open {
+            stats.residue += 1;
+        }
         if !st.net.node(src).is_alive() {
             continue; // died earlier this round; generates nothing
         }
-        let pkt_plan = &planned[pi as usize].packets[k];
         st.counters.generated += 1;
         let pkt = Packet {
             id: *st.next_packet_id,
@@ -967,6 +992,22 @@ fn walk<P: Protocol + ?Sized>(
             }
         }
 
+        // The frontier closes at the first packet whose terminal head
+        // hop is refused with retry budget left: its continuation below
+        // draws the master RNG and may touch any battery or queue.
+        if counted && frontier_open {
+            let refused_with_budget = !resolved
+                && !matches!(fail, FailCause::Dead)
+                && matches!(pkt_plan.last(), Some(PlannedAttempt::ToHead { .. }))
+                && pkt_plan.len() as u32 <= cfg.member_retries;
+            if refused_with_budget {
+                stats.residue += 1;
+                frontier_open = false;
+            } else {
+                stats.clean_commits += 1;
+            }
+        }
+
         // Live continuation: the plan ended on a contingency stage 1
         // could not resolve — a queue refusal or a head that died
         // mid-merge. The remaining retries re-decide against the
@@ -1097,6 +1138,8 @@ fn walk<P: Protocol + ?Sized>(
         }
     }
 
+    stats.shards = shard_sizes.iter().filter(|&&c| c > 0).count() as u64;
+    stats.largest_shard = shard_sizes.iter().copied().max().unwrap_or(0);
     stats
 }
 
