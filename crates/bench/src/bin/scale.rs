@@ -72,10 +72,10 @@ use std::time::Instant;
 /// counter).
 /// v7: every run now records its own `lambda` (so one artifact can mix
 /// congestion levels; `lambda` joins the `--compare` and
-/// thread-scaling matching keys), plus the reservation-merge counters
-/// `merge_clean_commits` / `merge_residue` and the derived
-/// `residue_fraction` (a number on sharded-merge runs, `null` on
-/// sequential runs, which never classify). `--compare` gates
+/// thread-scaling matching keys), plus the merge classification
+/// counters `merge_clean_commits` / `merge_residue` and the derived
+/// `residue_fraction` (a number on multi-thread runs, `null` on
+/// `threads = 1` runs, which report no classification). `--compare` gates
 /// `residue_fraction` as a regression: a matched point whose fresh
 /// fraction grows more than [`RESIDUE_TOLERANCE`] (absolute) past the
 /// baseline's fails, and `--gate-thread-scaling` now applies its floor
@@ -103,10 +103,10 @@ const RSS_GATE_MIN_N: usize = 100_000;
 /// `--compare` fails when a matched point's `residue_fraction` grows
 /// more than this (absolute) past the baseline's. The fraction is a
 /// property of the workload (at saturated λ most refusals genuinely
-/// need the sequential walk), so the gate is a regression bound on the
-/// *classifier* — proven-clean packets silently falling back into the
-/// residue — not an absolute target. Skipped when either side's
-/// fraction is null (sequential runs never classify).
+/// need the sequential walk), so the gate is a regression bound — each
+/// round's clean frontier closing earlier than it used to — not an
+/// absolute target. Skipped when either side's fraction is null
+/// (`threads = 1` runs report no classification).
 const RESIDUE_TOLERANCE: f64 = 0.05;
 
 /// Smallest `n` the `--gate-thread-scaling` floor applies to. Below
@@ -119,7 +119,7 @@ const RESIDUE_TOLERANCE: f64 = 0.05;
 const SCALING_GATE_MIN_N: u64 = 10_000;
 
 /// One (size, threads, head-index mode) point of the sweep.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ScaleRun {
     /// Node count N.
     n: usize,
@@ -168,16 +168,17 @@ struct ScaleRun {
     merge_conflicts: u64,
     /// Live-continuation retargets applied during the merge.
     merge_retargets: u64,
-    /// Disjoint-head commit groups the sharded merge processed (0 when
-    /// the run took the sequential merge path, i.e. one worker).
+    /// Distinct heads member plans ended on, summed over rounds (0 at
+    /// `threads = 1`, which reports no classification).
     merge_shards: u64,
-    /// Packets in the largest single commit group — shard imbalance.
+    /// Most member plans ending on one head in any round — shard
+    /// imbalance.
     merge_shard_max: u64,
-    /// Packets the reservation pre-pass proved clean (committed with
-    /// asserts, no uncertainty). 0 on the sequential merge path.
+    /// Member packets committed before each round's clean frontier (0
+    /// at `threads = 1`).
     merge_clean_commits: u64,
-    /// Packets the pre-pass could not prove clean — the sequential
-    /// residue walk's workload. 0 on the sequential merge path.
+    /// The frontier-closing packet and every member packet after it,
+    /// summed over rounds (0 at `threads = 1`).
     merge_residue: u64,
     /// Round-latency quantiles (ns) over the run's rounds.
     round_p50_ns: f64,
@@ -189,7 +190,7 @@ struct ScaleRun {
 }
 
 /// Busy time one worker slot spent in one profiler phase path.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Clone, Serialize)]
 struct PhaseThreadBusy {
     /// `/`-separated profiler path (`"transmission/plan"`).
     phase: String,
@@ -200,7 +201,7 @@ struct PhaseThreadBusy {
 
 /// One measured full-events run: how much the event sink costs the hot
 /// simulation thread, and (async only) the writer-queue counters.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct EventsPipelineRow {
     /// `sync` or `async` (block backpressure).
     sink: String,
@@ -231,7 +232,7 @@ impl Serialize for EventsPipelineRow {
 
 impl ScaleRun {
     /// Residue share of the classified packets, `None` when the run
-    /// never ran the reservation pre-pass (sequential merge path).
+    /// reported no classification (`threads = 1`).
     fn residue_fraction(&self) -> Option<f64> {
         let total = self.merge_clean_commits + self.merge_residue;
         (total > 0).then(|| self.merge_residue as f64 / total as f64)
@@ -1034,8 +1035,8 @@ fn compare_against_baseline(
             ));
         }
         // The residue gate needs a measured fraction on BOTH sides.
-        // `None`/`null` means the reservation pre-pass classified
-        // nothing (sequential merge, or a round set that generated no
+        // `None`/`null` means the merge classified nothing
+        // (`threads = 1`, or a round set that generated no
         // packets — e.g. a full-blackout cell), which is not the same
         // measurement as a fraction of 0.0: zero-filling it would flag
         // any later measured fraction > RESIDUE_TOLERANCE as a
@@ -1048,7 +1049,7 @@ fn compare_against_baseline(
                 regressions.push(format!(
                     "N={} threads={} candidates={} head-index={} q-rows={} lambda={}: residue \
                      fraction {:.3} vs baseline {:.3} (above the +{:.2} absolute ceiling — \
-                     proven-clean packets are falling back into the residue)",
+                     each round's clean frontier closes earlier)",
                     run.n,
                     run.threads,
                     run.candidates,
@@ -1791,8 +1792,11 @@ mod tests {
         run.merge_clean_commits = 25;
         run.merge_residue = 75;
         assert_eq!(run.residue_fraction(), Some(0.75));
-        let baseline = |clean: u64, residue: u64| {
-            let mut base_run = tiny_run(1, HeadIndexMode::Incremental);
+        // Each baseline row is the fresh row with only the residue
+        // counters changed, so the pkt/s gate cannot fire on the
+        // wall-clock noise between two separately timed runs.
+        let baseline = |fresh: &ScaleRun, clean: u64, residue: u64| {
+            let mut base_run = fresh.clone();
             base_run.merge_clean_commits = clean;
             base_run.merge_residue = residue;
             serde_json::to_string(&ScaleReport {
@@ -1806,26 +1810,26 @@ mod tests {
         };
         let fresh = std::slice::from_ref(&run);
         // Identical fraction: passes.
-        assert!(compare_against_baseline(fresh, &baseline(25, 75))
+        assert!(compare_against_baseline(fresh, &baseline(&run, 25, 75))
             .unwrap()
             .is_empty());
         // +3 points of residue (0.72 -> 0.75): inside the 0.05 ceiling.
-        assert!(compare_against_baseline(fresh, &baseline(28, 72))
+        assert!(compare_against_baseline(fresh, &baseline(&run, 28, 72))
             .unwrap()
             .is_empty());
         // Baseline 0.60: fresh 0.75 is 15 points worse — gate fires.
-        let msgs = compare_against_baseline(fresh, &baseline(40, 60)).unwrap();
+        let msgs = compare_against_baseline(fresh, &baseline(&run, 40, 60)).unwrap();
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].contains("residue fraction"), "{}", msgs[0]);
         // A sequential baseline (null fraction) cannot gate — skip.
-        assert!(compare_against_baseline(fresh, &baseline(0, 0))
+        assert!(compare_against_baseline(fresh, &baseline(&run, 0, 0))
             .unwrap()
             .is_empty());
         // And a sequential fresh run is never gated either.
         let seq = tiny_run(1, HeadIndexMode::Incremental);
         assert_eq!(seq.residue_fraction(), None);
         assert!(
-            compare_against_baseline(std::slice::from_ref(&seq), &baseline(40, 60))
+            compare_against_baseline(std::slice::from_ref(&seq), &baseline(&seq, 40, 60))
                 .unwrap()
                 .is_empty()
         );

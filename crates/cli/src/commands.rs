@@ -72,10 +72,11 @@ NOTES:
   --sink sync; async:drop sheds events when the queue fills (counted
   in the profile's sink.dropped, never valid for determinism diffs).
   --profile FILE writes a qlec-profile/v1 JSON report (per-phase
-  per-thread busy/wall, merge conflict/retarget/clean-commit/residue
-  counters, p50/p90/p99 round latency, thread utilization) and appends
-  the rendered table — including the derived merge.residue_fraction —
-  to the text output. Profiling never changes the event stream.
+  per-thread busy/wall, merge conflict/retarget counters, p50/p90/p99
+  round latency, thread utilization; with T > 1 threads also the merge
+  walk's clean-commit/residue split) and appends the rendered table —
+  including the derived merge.residue_fraction — to the text output.
+  Profiling never changes the event stream.
   --threads T fans the round engine's hot phases over T workers
   (auto = every core; 0 is rejected). Pure throughput knob: any T
   produces byte-identical events and reports.
@@ -1394,8 +1395,9 @@ mod artifact_tests {
                 .any(|c| c["name"].as_str() == Some("merge.retargets")),
             "{text}"
         );
-        // threads=2 runs the sharded merge, so the reservation pre-pass
-        // counters must be present alongside the conflict counters.
+        // threads=2 runs with a worker pool, so the merge's
+        // classification counters must be present alongside the
+        // conflict counters.
         for name in ["merge.clean_commits", "merge.residue"] {
             assert!(
                 v["counters"]

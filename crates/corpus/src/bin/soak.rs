@@ -6,9 +6,10 @@
 //! ```
 //!
 //! Samples random specs (with inline fault plans), runs the corpus
-//! invariants and the threads-1-vs-2 byte diff against each, and on the
-//! first failure shrinks the spec and writes a minimized reproducer as
-//! a `--spec`-loadable JSON under `--out`. Exit 0 = soak green.
+//! invariants and the threads-1-vs-T byte diff (T drawn from 2–4)
+//! against each, and on the first failure shrinks the spec and writes
+//! a minimized reproducer as a `--spec`-loadable JSON under `--out`.
+//! Exit 0 = soak green.
 //!
 //! `--inject-break` corrupts every trial's report on purpose — the CI
 //! self-test that proves a real invariant break would surface as a

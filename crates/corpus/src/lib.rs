@@ -142,16 +142,16 @@ pub fn check_run(spec: &SimSpec, run: &CellRun) -> Vec<String> {
             spec.n
         ));
     }
-    // The reservation pre-pass only runs on the pool path; a sequential
-    // run reporting shards or classified packets would mean the oracle
-    // path executed parallel machinery.
+    // The round engine reports the merge walk's classification only
+    // with a worker pool; a threads = 1 run reporting shards or
+    // classified packets would break the digests that pin them at 0.
     if run.report.threads == 1
         && (run.outcome.shards() > 0
             || run.outcome.clean_commits() > 0
             || run.outcome.residue() > 0)
     {
         v.push(format!(
-            "sequential run reports pre-pass work: {} shards, {} clean, {} residue",
+            "sequential run reports merge classification: {} shards, {} clean, {} residue",
             run.outcome.shards(),
             run.outcome.clean_commits(),
             run.outcome.residue()
@@ -174,7 +174,7 @@ pub enum CellKind {
 /// The documented-equivalent axes the corpus diffs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Axis {
-    /// `--threads 1` vs 2 vs 4 (reservation-oracle agreement).
+    /// `--threads 1` vs 2 vs 4.
     Threads,
     /// `--head-index incremental` vs `rebuild`.
     HeadIndex,
@@ -346,7 +346,7 @@ pub fn matrix() -> Vec<Cell> {
             kind: CellKind::Property,
         },
         // Full-cube blackout from round 0: nothing is ever generated,
-        // so PDR = 1 by convention and the reservation pre-pass
+        // so PDR = 1 by convention and the merge walk
         // classifies zero packets (residue_fraction = None) — the
         // null-residue cell the bench gates must skip, not zero-fill.
         Cell {

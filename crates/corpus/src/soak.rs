@@ -1,6 +1,6 @@
 //! Time-boxed randomized soak: sample specs + fault plans from the full
-//! CLI vocabulary, run the corpus invariants and the threads-1-vs-2
-//! byte diff against each, and on any failure greedily shrink the spec
+//! CLI vocabulary, run the corpus invariants and the threads-1-vs-T
+//! byte diff (T drawn from 2–4) against each, and on any failure greedily shrink the spec
 //! and write a minimized reproducer as a single `--spec`-loadable JSON
 //! file (the fault plan rides inline, so replay is one command).
 
@@ -75,7 +75,8 @@ pub struct SoakSummary {
 
 /// Sample a spec from the full vocabulary the CLI round-trips. Every
 /// knob here must survive `SimSpec::to_json` → `from_json`, which
-/// `failure_of` asserts on every trial.
+/// `failure_of` asserts on every trial. `threads` is the comparison
+/// run's worker count, drawn from 2–4; the base run always uses one.
 pub fn sample_spec(rng: &mut StdRng) -> SimSpec {
     let n = *pick(rng, &[16usize, 24, 32, 48, 64, 96]);
     let k = rng.gen_range(2..=2.max(n / 6));
@@ -121,7 +122,7 @@ pub fn sample_spec(rng: &mut StdRng) -> SimSpec {
         } else {
             QRowsMode::Dense
         },
-        threads: 1,
+        threads: rng.gen_range(2..=4),
         faults,
     }
 }
@@ -194,8 +195,9 @@ fn pick<'a, T>(rng: &mut StdRng, items: &'a [T]) -> &'a T {
 /// Run one spec through every soak check; `None` means it passed.
 ///
 /// Checks, in order: the spec survives its own JSON round trip (what
-/// the reproducer file relies on); the sequential run satisfies every
-/// report/merge invariant; a threads-2 run is byte-identical to it.
+/// the reproducer file relies on); the threads-1 run satisfies every
+/// report/merge invariant; a run at `spec.threads` workers (at least 2)
+/// is byte-identical to it.
 pub fn failure_of(spec: &SimSpec, inject: Option<InjectedBreak>) -> Option<Vec<String>> {
     match SimSpec::from_json(&spec.to_json()) {
         Err(e) => return Some(vec![format!("spec JSON round trip: {e}")]),
@@ -204,24 +206,29 @@ pub fn failure_of(spec: &SimSpec, inject: Option<InjectedBreak>) -> Option<Vec<S
         }
         Ok(_) => {}
     }
-    let mut base = match run_cell(spec, EventsMode::Full, false) {
+    let base_spec = SimSpec {
+        threads: 1,
+        ..spec.clone()
+    };
+    let mut base = match run_cell(&base_spec, EventsMode::Full, false) {
         Ok(run) => run,
         Err(e) => return Some(vec![format!("run failed: {e}")]),
     };
     if let Some(InjectedBreak::Conservation) = inject {
         base.report.totals.generated += 1;
     }
-    let violations = check_run(spec, &base);
+    let violations = check_run(&base_spec, &base);
     if !violations.is_empty() {
         return Some(violations);
     }
+    let threads = spec.threads.max(2);
     let parallel_spec = SimSpec {
-        threads: 2,
+        threads,
         ..spec.clone()
     };
     let parallel = match run_cell(&parallel_spec, EventsMode::Full, false) {
         Ok(run) => run,
-        Err(e) => return Some(vec![format!("threads-2 run failed: {e}")]),
+        Err(e) => return Some(vec![format!("threads-{threads} run failed: {e}")]),
     };
     if base.stream != parallel.stream {
         let line = base
@@ -232,11 +239,13 @@ pub fn failure_of(spec: &SimSpec, inject: Option<InjectedBreak>) -> Option<Vec<S
             .map(|i| format!("line {}", i + 1))
             .unwrap_or_else(|| "stream lengths".to_string());
         return Some(vec![format!(
-            "event stream diverged between threads 1 and 2 at {line}"
+            "event stream diverged between threads 1 and {threads} at {line}"
         )]);
     }
     if report_fingerprint(&base.report) != report_fingerprint(&parallel.report) {
-        return Some(vec!["report diverged between threads 1 and 2".to_string()]);
+        return Some(vec![format!(
+            "report diverged between threads 1 and {threads}"
+        )]);
     }
     None
 }

@@ -5,20 +5,13 @@
 //! post-election network, in parallel. This module is stage 2: the plans
 //! meet merge-time reality — head batteries that drain as receptions
 //! land, queues that fill, heads that die mid-round — under one explicit
-//! API ([`MergePlan`] in, [`MergeOutcome`] out) with two entry points:
-//!
-//! * [`commit_sequential`] — the reference path (`threads = 1`): one
-//!   ordered walk over the round's events, nothing else. This is the
-//!   golden oracle every other path must match byte-for-byte.
-//! * [`commit_sharded`] — the pool path (`threads > 1`): a two-phase
-//!   *reservation merge*. A parallel pre-pass ([`reserve`]) shards the
-//!   round by target head and, per shard, replays that head's battery
-//!   drain and queue occupancy against only its own shard's events in
-//!   arrival order, producing a per-event verdict buffer. A sequential
-//!   frontier sweep then promotes the longest provable prefix of those
-//!   verdicts to **proven-clean** reservations; the ordered walk
-//!   interleaves the buffered verdicts with the sequential residue by
-//!   global `(time, node)` key.
+//! API ([`MergePlan`] in, [`MergeOutcome`] out) with one entry point,
+//! [`commit`]: an ordered walk over the round's events in global
+//! `(time, node)` order. The walk is the same at every thread count, so
+//! the event stream, every battery draw, and every RNG consumption are
+//! byte-identical across thread counts by construction;
+//! `tests/parallel_equivalence.rs` locks the identity with and without
+//! fault plans.
 //!
 //! # The residue taxonomy
 //!
@@ -30,8 +23,7 @@
 //! * **clean refusal** — the terminal hop is refused (dead head, full
 //!   queue, or deadline miss) *and* the plan already spent the whole
 //!   retry budget, so the refusal is terminal. No RNG. (A refusal does
-//!   not change a queue's accept-state for later offers, so clean
-//!   refusals do not taint the shard replay.)
+//!   not change a queue's accept-state for later offers.)
 //! * **local resolution** — the plan never reaches a live head: a BS
 //!   delivery, link-failure exhaustion, or the sender's own planned
 //!   battery death. No RNG, no shared state beyond the sender.
@@ -39,38 +31,32 @@
 //!   packet re-enters `choose_target` against the live network and every
 //!   hop samples the *master* RNG, so it must run in exact global order.
 //!
+//! The taxonomy defines the walk's four classification counters. A
+//! member packet is counted when its plan is non-empty (its sender was
+//! alive at planning time). Packets count as `clean_commits` up to the
+//! round's **frontier**: the first packet whose terminal head hop is
+//! refused with retry budget left. That packet and every counted packet
+//! after it are `residue`, because its master-RNG continuation may touch
+//! any battery or queue. `shards` is the number of heads at least one
+//! plan ends on, and `largest_shard` the most plans ending on one head.
+//!
+//! Before the frontier no continuation has run, so each clean verdict
+//! depends only on earlier receptions and own packets at the *same*
+//! head: clean commits of disjoint heads are confluent, and per-head
+//! groups could commit independently. The counters measure how much of
+//! a round that argument covers. Nothing branches on them.
+//!
 //! The measured N=10k saturated profile (λ=5, see `DESIGN.md`) puts
-//! ~96% of member packets in the residue: the clean frontier closes at
-//! the round's first live retarget, and under saturation that happens
+//! ~96% of member packets in the residue: the frontier closes at the
+//! round's first live retarget, and under saturation that happens
 //! early — the conflicts that close it split ~85% queue-full, ~15%
 //! deadline, ~0% dead-head. That fraction is a property of the workload
 //! (Q-routing herds all planners onto the same frozen value table while
 //! the queues saturate), not of the merge — an uncongested λ=20 run at
 //! the same N classifies 93% clean (residue fraction 0.07). The profiler's
 //! `merge.clean_commits` / `merge.residue` counters and the scale
-//! bench's `residue_fraction` report it honestly, and `--compare` gates
-//! it as a regression (+0.05 absolute) rather than an absolute target.
-//!
-//! # Confluence and byte-identity
-//!
-//! Both entry points run the *same* walk function, so the event stream,
-//! every battery draw, and every RNG consumption are byte-identical
-//! between them by construction. Clean commits of disjoint heads are
-//! confluent — they touch disjoint state (their own head's battery and
-//! queue, plus the sender-local ledger the planner already fixed) — so
-//! the per-shard buffered replay computes exactly the verdicts the
-//! ordered walk will observe, as long as every event before a packet's
-//! reservation is itself clean. That is what the frontier sweep
-//! enforces: a reservation is only issued while *all* preceding member
-//! packets are proven clean (the first unproven packet closes the
-//! frontier for the rest of the round), so within the reserved prefix
-//! no live continuation has perturbed any battery or queue behind the
-//! replay's back. The classifier is a conservative under-approximation;
-//! the walk `assert!`s every reservation against the live outcome, so a
-//! classifier bug can only fail loudly — it cannot bend the byte
-//! stream, because the walk's behaviour never branches on a
-//! reservation. `tests/parallel_equivalence.rs` locks the identity at
-//! every thread count, with and without fault plans.
+//! bench's `residue_fraction` report it, and `--compare` gates it as a
+//! regression (+0.05 absolute) rather than an absolute target.
 
 use crate::metrics::{EnergyBreakdown, PacketCounters};
 use crate::network::Network;
@@ -84,7 +70,6 @@ use qlec_geom::stats::Welford;
 use qlec_obs::{Event, ObserverSet, PacketFate};
 use qlec_radio::link::{AnyLink, LinkModel};
 use rand::{Rng, RngCore};
-use rayon::prelude::*;
 
 /// Terminal failure cause of a member packet, attributed to its final
 /// attempt.
@@ -120,31 +105,6 @@ pub(crate) enum PlannedAttempt {
 /// battery, since the live trajectory only ever drains more).
 pub(crate) type PacketPlan = Vec<PlannedAttempt>;
 
-/// Classifier-facing metadata for one planned packet, computed by the
-/// stage-1 planner alongside the attempt list. It captures the only
-/// facts the reservation pre-pass needs: whether the plan touches a
-/// head at all, when the terminal reception lands, and whether a
-/// merge-time refusal would still have retry budget (and therefore
-/// request master-RNG draws).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum PacketMeta {
-    /// Empty plan: the sender was already dead at the arrival time.
-    Skip,
-    /// The plan resolves on sender-local state only — a BS delivery,
-    /// link-failure exhaustion, or the sender's own planned battery
-    /// death. No head, no queue, no master RNG.
-    Local,
-    /// The plan's terminal hop lands on head `h`, offered to its queue
-    /// at `offer_time`. `exhausted` means the plan already spent the
-    /// whole retry budget, so a merge-time refusal is terminal rather
-    /// than a live-retarget continuation.
-    Candidate {
-        h: NodeId,
-        offer_time: f64,
-        exhausted: bool,
-    },
-}
-
 /// One member node's stage-1 state for the current round.
 pub(crate) struct PlannedNode {
     pub(crate) src: NodeId,
@@ -152,8 +112,6 @@ pub(crate) struct PlannedNode {
     pub(crate) arrivals: Vec<f64>,
     /// One plan per arrival, same order.
     pub(crate) packets: Vec<PacketPlan>,
-    /// One classifier record per arrival, same order.
-    pub(crate) meta: Vec<PacketMeta>,
     /// The planner's scratch, absorbed into the protocol after the merge.
     pub(crate) scratch: Option<PlanScratch>,
     /// Merge read position into `packets`.
@@ -231,13 +189,13 @@ pub(crate) struct MergeState<'a, P: Protocol + ?Sized> {
 /// What one round's merge did, for the profiler, the scale bench, and
 /// the equivalence tests: how often a plan ran into merge-time reality
 /// (split by cause), how many packets entered the live-retargeting
-/// continuation, how many the reservation pre-pass proved clean, and
-/// the shape of the per-head commit shards.
+/// continuation, and the residue-taxonomy classification of the round
+/// (module docs).
 ///
-/// `conflicts`/`retargets` and the cause split are walk-observed and
-/// thread-invariant; `clean_commits`/`residue`/`shards` describe the
-/// reservation pre-pass, which only runs on the pool path (they stay 0
-/// on the `threads = 1` reference path).
+/// The walk computes every counter at every thread count. The round
+/// engine reports `clean_commits`/`residue`/`shards`/`largest_shard`
+/// only when it runs with a worker pool and keeps them 0 at
+/// `threads = 1`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MergeOutcome {
     /// Planned hops refused by live state: a head dead at reception or
@@ -245,10 +203,9 @@ pub struct MergeOutcome {
     pub(crate) conflicts: u64,
     /// Packets that entered the master-RNG live continuation.
     pub(crate) retargets: u64,
-    /// Distinct heads with at least one terminally-planned packet
-    /// (sharded path only; 0 on the reference path).
+    /// Distinct heads at least one member plan ends on.
     pub(crate) shards: u64,
-    /// Packet count of the largest commit shard (sharded path only).
+    /// Most member plans ending on one head.
     pub(crate) largest_shard: u64,
     /// Conflicts whose cause was a head dead at reception.
     pub(crate) conflict_dead_head: u64,
@@ -256,11 +213,9 @@ pub struct MergeOutcome {
     pub(crate) conflict_queue_full: u64,
     /// Conflicts whose cause was the fusion deadline.
     pub(crate) conflict_deadline: u64,
-    /// Member packets the reservation pre-pass proved clean (sharded
-    /// path only).
+    /// Member packets committed before the round's frontier.
     pub(crate) clean_commits: u64,
-    /// Member packets left to the live walk: the frontier-closing packet
-    /// and everything after it (sharded path only).
+    /// The frontier-closing packet and every member packet after it.
     pub(crate) residue: u64,
 }
 
@@ -291,31 +246,32 @@ impl MergeOutcome {
         self.conflict_deadline
     }
 
-    /// Distinct per-head commit shards (pool path only; 0 sequentially).
+    /// Distinct heads at least one member plan ends on (0 at
+    /// `threads = 1`).
     pub fn shards(&self) -> u64 {
         self.shards
     }
 
-    /// Packet count of the largest commit shard (pool path only).
+    /// Most member plans ending on one head (0 at `threads = 1`).
     pub fn largest_shard(&self) -> u64 {
         self.largest_shard
     }
 
-    /// Member packets the reservation pre-pass proved clean (pool path
-    /// only; 0 sequentially).
+    /// Member packets committed before the round's frontier (0 at
+    /// `threads = 1`).
     pub fn clean_commits(&self) -> u64 {
         self.clean_commits
     }
 
-    /// Member packets left to the live walk (pool path only).
+    /// The frontier-closing packet and every member packet after it (0
+    /// at `threads = 1`).
     pub fn residue(&self) -> u64 {
         self.residue
     }
 
-    /// Fraction of classified member packets the pre-pass could *not*
-    /// prove clean: `residue / (clean_commits + residue)`. `None` when
-    /// the reservation pre-pass did not run (sequential path) or saw no
-    /// member packets.
+    /// Fraction of classified member packets at or past the frontier:
+    /// `residue / (clean_commits + residue)`. `None` when nothing was
+    /// classified (a `threads = 1` run, or no member packets).
     pub fn residue_fraction(&self) -> Option<f64> {
         let classified = self.clean_commits + self.residue;
         (classified > 0).then(|| self.residue as f64 / classified as f64)
@@ -378,360 +334,8 @@ impl MergeOutcome {
     }
 }
 
-/// Walk-observed counters, identical on both commit paths.
-#[derive(Default)]
-struct WalkStats {
-    conflicts: u64,
-    retargets: u64,
-    conflict_dead_head: u64,
-    conflict_queue_full: u64,
-    conflict_deadline: u64,
-    clean_commits: u64,
-    residue: u64,
-    shards: u64,
-    largest_shard: u64,
-}
-
-/// Why a proven-clean terminal refusal was refused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum RefuseCause {
-    DeadHead,
-    Full,
-    Deadline,
-}
-
-/// The reservation issued for one event by the pre-pass. Everything but
-/// `Live` is proven clean: the walk must observe exactly this outcome,
-/// and must not touch the master RNG for the packet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Reserved {
-    /// No reservation: run live (residue, own-gen, or past the frontier).
-    Live,
-    /// Proven clean on sender-local state alone.
-    Local,
-    /// Proven clean: the terminal hop's queue accepts.
-    Accept,
-    /// Proven clean: the terminal hop is refused and the retry budget is
-    /// spent, so the refusal is terminal.
-    Refused(RefuseCause),
-}
-
-/// Output of the reservation pre-pass: one [`Reserved`] per event plus
-/// the round's classification and shard-shape counters.
-pub(crate) struct Reservation {
-    /// Per-event reservation, aligned with `MergePlan::events`.
-    classes: Vec<Reserved>,
-    clean: u64,
-    residue: u64,
-    shards: u64,
-    largest_shard: u64,
-}
-
-/// Event kind resolved from the plan metadata, in event order.
-#[derive(Clone, Copy)]
-enum EvKind {
-    /// A head's own sensing packet (replayed in-shard, committed live).
-    OwnGen,
-    /// Dead-sender packet: empty plan, generates nothing.
-    Skip,
-    /// Sender-local resolution.
-    Local,
-    /// Terminal hop onto a head's queue slot (verdicts arrive keyed by
-    /// event index from the shard replay).
-    Cand { exhausted: bool },
-}
-
-/// One shard-replay input: an event on this head's queue slot.
-enum SlotEntry {
-    /// The head's own sensing packet, offered at its arrival time.
-    OwnGen { t: f64 },
-    /// A member packet's terminal hop, offered at `offer_time`.
-    Cand { event_idx: u32, offer_time: f64 },
-}
-
-/// Shard-replay verdict for one candidate offer.
-#[derive(Clone, Copy)]
-enum SlotVerdict {
-    Accept,
-    DeadHead,
-    Full,
-    Deadline,
-}
-
-/// The reservation pre-pass of the two-phase merge.
-///
-/// 1. **Group** (sequential, O(events)): resolve each event against its
-///    plan metadata and bucket head-bound work per queue slot, in event
-///    order.
-/// 2. **Shard replay** (pool-parallel, one task per queue slot): replay
-///    the slot's own-gen offers and candidate receptions in arrival
-///    order against a clone of the head's (freshly reset) queue and a
-///    local copy of its battery ledger — the same `consume` clamping
-///    and aliveness rule the walk applies — producing a verdict buffer
-///    per shard.
-/// 3. **Frontier sweep** (sequential, O(events)): issue reservations
-///    for the longest prefix in which every member packet is proven
-///    clean. The first packet that is not provably clean (an unproven
-///    refusal with retry budget left) closes the frontier: it and
-///    everything after it stay `Live`, because its master-RNG
-///    continuation may perturb batteries and queues behind the replay's
-///    back.
-///
-/// The verdicts of a shard's prefix depend only on earlier events of
-/// the *same* shard (a queue refusal does not change accept-state, and
-/// heads gain no energy mid-round), so per-shard replay is exact for
-/// every event the sweep ends up reserving — the confluence argument in
-/// the module docs.
-fn reserve(
-    pool: &rayon::ThreadPool,
-    plan: &MergePlan<'_>,
-    planned: &[PlannedNode],
-    net: &Network,
-    queues: &[ChQueue],
-) -> Reservation {
-    let n_events = plan.events.len();
-    let n_slots = queues.len();
-
-    // Step 1: group. Separate cursors — `PlannedNode::cursor` belongs to
-    // the walk.
-    let mut kinds: Vec<EvKind> = Vec::with_capacity(n_events);
-    let mut slots: Vec<Vec<SlotEntry>> = Vec::new();
-    slots.resize_with(n_slots, Vec::new);
-    let mut cand_counts = vec![0u64; n_slots];
-    let mut cursors = vec![0usize; planned.len()];
-    for (idx, &(time, src)) in plan.events.iter().enumerate() {
-        let pi = plan.plan_index[src.index()];
-        if pi < 0 {
-            let s = plan.head_slot[src.index()];
-            debug_assert!(s >= 0, "unplanned generator must be a head");
-            if s >= 0 {
-                slots[s as usize].push(SlotEntry::OwnGen { t: time });
-            }
-            kinds.push(EvKind::OwnGen);
-            continue;
-        }
-        let pn = &planned[pi as usize];
-        let k = cursors[pi as usize];
-        cursors[pi as usize] += 1;
-        kinds.push(match pn.meta[k] {
-            PacketMeta::Skip => EvKind::Skip,
-            PacketMeta::Local => EvKind::Local,
-            PacketMeta::Candidate {
-                h,
-                offer_time,
-                exhausted,
-            } => {
-                let s = plan.head_slot[h.index()];
-                debug_assert!(s >= 0, "terminal hop onto a non-head");
-                if s < 0 {
-                    // Defensive: an unmappable candidate gets no verdict,
-                    // so the sweep treats it as frontier-closing residue.
-                    EvKind::Cand { exhausted: false }
-                } else {
-                    slots[s as usize].push(SlotEntry::Cand {
-                        event_idx: idx as u32,
-                        offer_time,
-                    });
-                    cand_counts[s as usize] += 1;
-                    EvKind::Cand { exhausted }
-                }
-            }
-        });
-    }
-
-    // Step 2: per-shard replay on the pool. The closure touches only
-    // `Sync` data (slot buckets, the frozen network, the reset queues) —
-    // `PlannedNode` holds a `Send`-only `PlanScratch` and stays out.
-    let rx_e = net.radio.rx_energy(plan.cfg.packet_bits);
-    let bits = plan.cfg.packet_bits;
-    // The vendored pool exposes map/collect only, so the slot index is
-    // zipped into the job list instead of an `enumerate` adapter.
-    let slot_jobs: Vec<(usize, &[SlotEntry])> = slots
-        .iter()
-        .enumerate()
-        .map(|(s, entries)| (s, entries.as_slice()))
-        .collect();
-    let verdicts_by_slot: Vec<Vec<(u32, SlotVerdict)>> = pool.install(|| {
-        slot_jobs
-            .par_iter()
-            .map(|&(s, entries)| {
-                let head = plan.heads[s];
-                let hn = net.node(head);
-                // Mid-round a head's `online` flag is frozen; only its
-                // battery evolves (receptions drain it, nothing refills
-                // it), so aliveness reduces to `alive0 && residual > 0`.
-                let alive0 = hn.is_alive();
-                let mut residual = hn.battery.residual();
-                let mut q = queues[s].clone();
-                let mut out = Vec::with_capacity(entries.len());
-                for entry in entries {
-                    match *entry {
-                        SlotEntry::OwnGen { t } => {
-                            if alive0 && residual > 0.0 {
-                                // Queue verdicts depend on offer times and
-                                // queue state only, never on packet fields,
-                                // so a placeholder id is safe here.
-                                let pkt = Packet {
-                                    id: 0,
-                                    src: head,
-                                    created_at: t,
-                                    bits,
-                                };
-                                let _ = q.offer(pkt, t);
-                            }
-                        }
-                        SlotEntry::Cand {
-                            event_idx,
-                            offer_time,
-                        } => {
-                            let v = if !(alive0 && residual > 0.0) {
-                                SlotVerdict::DeadHead
-                            } else {
-                                // Reception drains the head even when the
-                                // queue then refuses — same clamping as
-                                // `Battery::consume`.
-                                residual -= rx_e.min(residual);
-                                let pkt = Packet {
-                                    id: 0,
-                                    src: head,
-                                    created_at: offer_time,
-                                    bits,
-                                };
-                                match q.offer(pkt, offer_time) {
-                                    Offer::Accepted { .. } => SlotVerdict::Accept,
-                                    Offer::Dropped(QueueDrop::Full) => SlotVerdict::Full,
-                                    Offer::Dropped(QueueDrop::Deadline) => SlotVerdict::Deadline,
-                                }
-                            };
-                            out.push((event_idx, v));
-                        }
-                    }
-                }
-                out
-            })
-            .collect()
-    });
-    let mut verdict_at: Vec<Option<SlotVerdict>> = vec![None; n_events];
-    for shard in &verdicts_by_slot {
-        for &(idx, v) in shard {
-            verdict_at[idx as usize] = Some(v);
-        }
-    }
-
-    // Step 3: frontier sweep.
-    let mut classes = vec![Reserved::Live; n_events];
-    let mut clean = 0u64;
-    let mut residue = 0u64;
-    let mut open = true;
-    for (idx, kind) in kinds.iter().enumerate() {
-        if !open {
-            // Past the frontier nothing is classified; everything that
-            // could be a live member packet counts as residue. (`Skip`
-            // is plan-derived, so dead-sender packets stay excluded even
-            // here; post-frontier battery divergence can only kill more
-            // senders, making `residue` a safe upper bound on the
-            // packets the walk actually replays live.)
-            if !matches!(kind, EvKind::OwnGen | EvKind::Skip) {
-                residue += 1;
-            }
-            continue;
-        }
-        match *kind {
-            // Own-gen packets commit live either way; the shard replay
-            // mirrored their queue effect, so they do not close the
-            // frontier. Skips generate nothing.
-            EvKind::OwnGen | EvKind::Skip => {}
-            EvKind::Local => {
-                classes[idx] = Reserved::Local;
-                clean += 1;
-            }
-            EvKind::Cand { exhausted } => match verdict_at[idx] {
-                Some(SlotVerdict::Accept) => {
-                    classes[idx] = Reserved::Accept;
-                    clean += 1;
-                }
-                Some(v) if exhausted => {
-                    classes[idx] = Reserved::Refused(match v {
-                        SlotVerdict::DeadHead => RefuseCause::DeadHead,
-                        SlotVerdict::Full => RefuseCause::Full,
-                        SlotVerdict::Deadline => RefuseCause::Deadline,
-                        SlotVerdict::Accept => unreachable!("accept handled above"),
-                    });
-                    clean += 1;
-                }
-                // A refusal with retry budget left — the live-retarget
-                // residue — or a candidate with no verdict (defensive):
-                // the continuation draws the master RNG and may change
-                // any battery or queue, so the frontier closes here.
-                _ => {
-                    residue += 1;
-                    open = false;
-                }
-            },
-        }
-    }
-
-    Reservation {
-        classes,
-        clean,
-        residue,
-        shards: cand_counts.iter().filter(|&&c| c > 0).count() as u64,
-        largest_shard: cand_counts.iter().copied().max().unwrap_or(0),
-    }
-}
-
-/// The reference merge (`threads = 1`): one ordered walk, nothing else.
-pub(crate) fn commit_sequential<P: Protocol + ?Sized>(
-    plan: &MergePlan<'_>,
-    planned: &mut [PlannedNode],
-    st: &mut MergeState<'_, P>,
-) -> MergeOutcome {
-    let stats = walk(plan, planned, st, None);
-    MergeOutcome {
-        conflicts: stats.conflicts,
-        retargets: stats.retargets,
-        conflict_dead_head: stats.conflict_dead_head,
-        conflict_queue_full: stats.conflict_queue_full,
-        conflict_deadline: stats.conflict_deadline,
-        ..MergeOutcome::default()
-    }
-}
-
-/// The pool merge (`threads > 1`): the two-phase reservation merge. The
-/// parallel pre-pass ([`reserve`]) buffers per-shard verdicts and issues
-/// proven-clean reservations for the longest provable prefix; the same
-/// ordered walk the reference path runs then interleaves the buffered
-/// verdicts with the residue's master-RNG re-decisions in global
-/// `(time, node)` order — byte-identical by construction, with every
-/// reservation asserted against the live outcome.
-pub(crate) fn commit_sharded<P: Protocol + ?Sized>(
-    pool: &rayon::ThreadPool,
-    plan: &MergePlan<'_>,
-    planned: &mut [PlannedNode],
-    st: &mut MergeState<'_, P>,
-) -> MergeOutcome {
-    let resv = reserve(pool, plan, planned, st.net, st.queues);
-    let stats = walk(plan, planned, st, Some(&resv));
-    assert_eq!(
-        (stats.clean_commits, stats.residue, stats.shards, stats.largest_shard),
-        (resv.clean, resv.residue, resv.shards, resv.largest_shard),
-        "walk-derived counters disagree with the pre-pass (round {})",
-        plan.round
-    );
-    MergeOutcome {
-        conflicts: stats.conflicts,
-        retargets: stats.retargets,
-        shards: resv.shards,
-        largest_shard: resv.largest_shard,
-        conflict_dead_head: stats.conflict_dead_head,
-        conflict_queue_full: stats.conflict_queue_full,
-        conflict_deadline: stats.conflict_deadline,
-        clean_commits: resv.clean,
-        residue: resv.residue,
-    }
-}
-
-/// The ordered commit walk, shared verbatim by both entry points.
+/// Commit one round's plans: the ordered walk, the only merge path at
+/// every thread count.
 ///
 /// Replays plans in global `(time, node)` order: packet ids, battery
 /// consumes, head receptions, queue offers, counters, latency, events,
@@ -741,29 +345,23 @@ pub(crate) fn commit_sharded<P: Protocol + ?Sized>(
 /// died mid-merge is a link drop, and a refused queue offer is terminal;
 /// both push the packet into the live continuation, which re-decides
 /// against the live network with the master RNG (the MDP's self-loop
-/// semantics).
-///
-/// When a [`Reservation`] is supplied, each reserved packet's live
-/// outcome is `assert!`ed against its buffered verdict — the contract
-/// that a proven-clean packet resolves exactly as the pre-pass replayed
-/// it and never reaches the master RNG. The walk's behaviour does not
-/// branch on reservations, so a classifier bug fails loudly instead of
-/// bending the byte stream.
-fn walk<P: Protocol + ?Sized>(
+/// semantics). Along the way it counts the residue taxonomy of the
+/// module docs into the returned [`MergeOutcome`]; nothing branches on
+/// those counts.
+pub(crate) fn commit<P: Protocol + ?Sized>(
     plan: &MergePlan<'_>,
     planned: &mut [PlannedNode],
     st: &mut MergeState<'_, P>,
-    resv: Option<&Reservation>,
-) -> WalkStats {
+) -> MergeOutcome {
     let cfg = plan.cfg;
     let round = plan.round;
     let link = st.net.link;
     let radio = st.net.radio;
-    let mut stats = WalkStats::default();
+    let mut out = MergeOutcome::default();
     let mut shard_sizes = vec![0u64; st.queues.len()];
     let mut frontier_open = true;
 
-    for (ev_idx, &(time, src)) in plan.events.iter().enumerate() {
+    for &(time, src) in plan.events {
         let pi = plan.plan_index[src.index()];
         if pi < 0 {
             // A head's own sensing packet: checked and queued live —
@@ -813,9 +411,9 @@ fn walk<P: Protocol + ?Sized>(
             k
         };
         let pkt_plan = &planned[pi as usize].packets[k];
-        // Classification (see `MergeOutcome`): a member packet counts
-        // when its plan is non-empty; past the frontier it is residue
-        // whether or not its sender is still alive.
+        // Residue taxonomy (module docs): a member packet counts when
+        // its plan is non-empty; past the frontier it is residue whether
+        // or not its sender is still alive.
         let counted = !pkt_plan.is_empty();
         if let Some(PlannedAttempt::ToHead { h, .. }) = pkt_plan.last() {
             let s = plan.head_slot[h.index()];
@@ -824,7 +422,7 @@ fn walk<P: Protocol + ?Sized>(
             }
         }
         if counted && !frontier_open {
-            stats.residue += 1;
+            out.residue += 1;
         }
         if !st.net.node(src).is_alive() {
             continue; // died earlier this round; generates nothing
@@ -902,8 +500,8 @@ fn walk<P: Protocol + ?Sized>(
                     if !st.net.node(h).is_alive() || h_slot < 0 {
                         // The head ran dry earlier in the merge: the
                         // planned hop lands on a dead radio.
-                        stats.conflicts += 1;
-                        stats.conflict_dead_head += 1;
+                        out.conflicts += 1;
+                        out.conflict_dead_head += 1;
                         fail = FailCause::Link;
                         st.protocol.on_hop_result(src, target, false);
                     } else {
@@ -924,14 +522,14 @@ fn walk<P: Protocol + ?Sized>(
                                 // A planned hop refused by the live
                                 // queue state — stage 1 could not
                                 // have known.
-                                stats.conflicts += 1;
+                                out.conflicts += 1;
                                 fail = match reason {
                                     QueueDrop::Full => {
-                                        stats.conflict_queue_full += 1;
+                                        out.conflict_queue_full += 1;
                                         FailCause::QueueFull
                                     }
                                     QueueDrop::Deadline => {
-                                        stats.conflict_deadline += 1;
+                                        out.conflict_deadline += 1;
                                         FailCause::Deadline
                                     }
                                 };
@@ -947,51 +545,6 @@ fn walk<P: Protocol + ?Sized>(
             }
         }
 
-        // Reservation soundness contract: a proven-clean packet must
-        // have resolved exactly as the pre-pass replayed it, and must
-        // not reach the master-RNG continuation below. The classifier is
-        // a conservative under-approximation and the walk never branches
-        // on it, so a violation here is a loud classifier bug — never a
-        // byte divergence.
-        if let Some(r) = resv {
-            match r.classes[ev_idx] {
-                Reserved::Live => {}
-                Reserved::Accept => {
-                    assert!(
-                        resolved,
-                        "reserved-accept packet did not resolve (round {round}, src {src})"
-                    );
-                }
-                Reserved::Refused(cause) => {
-                    let expected = match cause {
-                        RefuseCause::DeadHead => FailCause::Link,
-                        RefuseCause::Full => FailCause::QueueFull,
-                        RefuseCause::Deadline => FailCause::Deadline,
-                    };
-                    assert!(
-                        !resolved && attempt > cfg.member_retries && fail == expected,
-                        "reserved-refusal mismatch (round {round}, src {src}): \
-                         resolved={resolved} attempt={attempt} fail={fail:?} expected={expected:?}"
-                    );
-                }
-                Reserved::Local => {
-                    // Locally-resolved plans either deliver, die, or
-                    // exhaust the budget; the only other exit (a planned
-                    // battery death to exactly 0.0 with budget left)
-                    // fails the continuation's aliveness check before
-                    // any RNG draw.
-                    assert!(
-                        resolved
-                            || fail == FailCause::Dead
-                            || attempt > cfg.member_retries
-                            || !st.net.node(src).is_alive(),
-                        "reserved-local packet would reach the RNG continuation \
-                         (round {round}, src {src})"
-                    );
-                }
-            }
-        }
-
         // The frontier closes at the first packet whose terminal head
         // hop is refused with retry budget left: its continuation below
         // draws the master RNG and may touch any battery or queue.
@@ -1001,10 +554,10 @@ fn walk<P: Protocol + ?Sized>(
                 && matches!(pkt_plan.last(), Some(PlannedAttempt::ToHead { .. }))
                 && pkt_plan.len() as u32 <= cfg.member_retries;
             if refused_with_budget {
-                stats.residue += 1;
+                out.residue += 1;
                 frontier_open = false;
             } else {
-                stats.clean_commits += 1;
+                out.clean_commits += 1;
             }
         }
 
@@ -1016,7 +569,7 @@ fn walk<P: Protocol + ?Sized>(
         // identical at every thread count.
         if !resolved && !matches!(fail, FailCause::Dead) {
             if attempt <= cfg.member_retries {
-                stats.retargets += 1;
+                out.retargets += 1;
             }
             while attempt <= cfg.member_retries {
                 if !st.net.node(src).is_alive() {
@@ -1138,9 +691,9 @@ fn walk<P: Protocol + ?Sized>(
         }
     }
 
-    stats.shards = shard_sizes.iter().filter(|&&c| c > 0).count() as u64;
-    stats.largest_shard = shard_sizes.iter().copied().max().unwrap_or(0);
-    stats
+    out.shards = shard_sizes.iter().filter(|&&c| c > 0).count() as u64;
+    out.largest_shard = shard_sizes.iter().copied().max().unwrap_or(0);
+    out
 }
 
 #[cfg(test)]
@@ -1237,14 +790,12 @@ mod tests {
         (stream, report_json)
     }
 
-    /// The two commit paths produce identical reports and identical
-    /// event streams — the structural byte-identity the module
-    /// guarantees, checked end to end through the round engine (the
-    /// only place `commit_sharded` is reachable from). The pool runs
-    /// with the reservation asserts live, so this also exercises the
-    /// classifier's soundness contract on real traffic.
+    /// Runs at threads 1, 2 and 4 produce identical reports and
+    /// identical event streams — the byte-identity the module
+    /// guarantees, checked end to end through the round engine, where
+    /// the planner fans out over the pool and the merge walk commits.
     #[test]
-    fn sharded_commit_matches_sequential_commit() {
+    fn commit_is_thread_invariant_end_to_end() {
         let (seq_stream, seq_report) = run_observed(1);
         assert!(
             seq_stream.lines().count() > 100,
@@ -1260,13 +811,6 @@ mod tests {
         }
     }
 
-    fn test_pool() -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .expect("test pool")
-    }
-
     /// Commit a hand-built round through the merge entry point against
     /// fresh per-slot queues, a nearest-head protocol for the live
     /// continuation, and no observers.
@@ -1280,27 +824,6 @@ mod tests {
         events: &[(f64, NodeId)],
         planned: &mut [PlannedNode],
     ) -> MergeOutcome {
-        // The classifier records `plan_member_packets` would emit.
-        for pn in planned.iter_mut() {
-            pn.meta = pn
-                .arrivals
-                .iter()
-                .zip(&pn.packets)
-                .map(|(&time, attempts)| match attempts.last() {
-                    None => PacketMeta::Skip,
-                    Some(PlannedAttempt::ToHead { h, .. }) => {
-                        let a = (attempts.len() - 1) as u32;
-                        let attempt_time = time + a as f64 * cfg.hop_delay;
-                        PacketMeta::Candidate {
-                            h: *h,
-                            offer_time: attempt_time + cfg.hop_delay,
-                            exhausted: attempts.len() as u32 > cfg.member_retries,
-                        }
-                    }
-                    Some(_) => PacketMeta::Local,
-                })
-                .collect();
-        }
         let plan = MergePlan {
             events,
             plan_index,
@@ -1332,7 +855,7 @@ mod tests {
             breakdown: &mut breakdown,
             next_packet_id: &mut next_packet_id,
         };
-        commit_sharded(&test_pool(), &plan, planned, &mut st)
+        commit(&plan, planned, &mut st)
     }
 
     /// An exhausted plan, shaped as `plan_member_packets` emits it: the
@@ -1398,7 +921,6 @@ mod tests {
                 // t=5.0: would be clean, but the frontier is closed.
                 vec![PlannedAttempt::DeliveredBs { e }],
             ],
-            meta: Vec::new(),
             scratch: None,
             cursor: 0,
         }];
@@ -1415,7 +937,12 @@ mod tests {
         // Slot 0 saw three terminal hops, slot 1 one; both shards
         // non-empty.
         assert_eq!(
-            (out.clean_commits, out.residue, out.shards, out.largest_shard),
+            (
+                out.clean_commits,
+                out.residue,
+                out.shards,
+                out.largest_shard
+            ),
             (4, 2, 2, 3)
         );
         assert_eq!(
@@ -1450,7 +977,6 @@ mod tests {
             src: NodeId(1),
             arrivals: vec![1.0],
             packets: vec![exhausted_to_head(&cfg, 0, 0.001)],
-            meta: Vec::new(),
             scratch: None,
             cursor: 0,
         }];
@@ -1466,7 +992,12 @@ mod tests {
             &mut planned,
         );
         assert_eq!(
-            (out.clean_commits, out.residue, out.shards, out.largest_shard),
+            (
+                out.clean_commits,
+                out.residue,
+                out.shards,
+                out.largest_shard
+            ),
             (1, 0, 1, 1)
         );
         assert_eq!((out.conflict_queue_full, out.retargets), (1, 0));

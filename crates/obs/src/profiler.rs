@@ -286,11 +286,11 @@ impl ProfileReport {
             .map(|c| c.value)
     }
 
-    /// Fraction of reservation-classified member packets the merge's
-    /// pre-pass could *not* prove clean:
+    /// Fraction of the merge walk's classified member packets at or
+    /// past the round's clean frontier:
     /// `merge.residue / (merge.clean_commits + merge.residue)`.
-    /// `None` when the reservation pre-pass never ran (sequential
-    /// merge) or classified nothing.
+    /// `None` when the run reported no classification (`threads = 1`)
+    /// or classified nothing.
     pub fn residue_fraction(&self) -> Option<f64> {
         let clean = self.counter("merge.clean_commits").unwrap_or(0);
         let residue = self.counter("merge.residue").unwrap_or(0);
@@ -506,9 +506,9 @@ mod tests {
         assert!(!report.render().contains("residue_fraction"));
     }
 
-    /// A sharded merge that classified nothing (a run where no packet
-    /// ever reached the pre-pass — e.g. a full-blackout fault plan) has
-    /// merge counters at zero. The fraction is undefined, not 0.000;
+    /// A pooled run whose merge classified nothing (no member packet
+    /// was ever generated — e.g. a full-blackout fault plan) has the
+    /// classification counters at zero. The fraction is undefined, not 0.000;
     /// the renderer must say so instead of dropping the line.
     #[test]
     fn render_marks_undefined_residue_fraction_explicitly() {

@@ -384,9 +384,8 @@ fn aggregate_stream_under_faults_is_sink_and_thread_invariant() {
     }
 }
 
-/// The head-sharded merge (`threads > 1` routes stage 2 through
-/// `commit_sharded`: pool pre-pass + per-head commit groups + ordered
-/// fixup walk) reproduces the sequential commit byte-for-byte under an
+/// A pooled run (`threads > 1`: parallel planning, then the one ordered
+/// merge walk) reproduces the sequential run byte-for-byte under an
 /// active fault plan — crashes and a BS outage force dead-head retargets
 /// and refused-queue re-decisions, i.e. exactly the conflicted residue
 /// whose master-RNG draws must stay in global `(time, node)` order.
@@ -431,7 +430,7 @@ fn assert_sharded_merge_invariant_under_faults(n: usize, k: usize, rounds: u32, 
         let (stream, report) = run(threads);
         assert!(
             stream == seq_stream,
-            "sharded merge diverged from sequential commit (N = {n}, threads = {threads})"
+            "pooled run diverged from sequential run (N = {n}, threads = {threads})"
         );
         assert_eq!(
             report, seq_report,

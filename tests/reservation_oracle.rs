@@ -1,17 +1,16 @@
-//! The reservation classifier vs the sequential oracle walk.
+//! The merge walk's clean/residue classification vs the sequential
+//! oracle run.
 //!
-//! The two-phase merge's pre-pass classifies planned member packets as
-//! proven-clean or residue before the commit walk runs. The classifier
-//! is *observation-only*: with threads > 1 every clean classification
-//! is re-checked by an assert inside the walk itself — a clean packet
-//! must resolve with exactly the battery draw, queue verdict, and
-//! event the sequential oracle produces, or the process aborts. These
-//! tests drive that assert machinery over randomized deployments,
-//! congestion levels, and fault plans (node crashes plus deep battery
-//! drains that kill elected heads mid-round), then byte-diff the
-//! deterministic event streams and reports across thread counts: the
-//! asserts prove per-packet agreement, the diffs prove nothing else
-//! moved.
+//! Every thread count commits a round through the same ordered merge
+//! walk, which also classifies member packets: clean up to the round's
+//! frontier (the first terminal head hop refused with retry budget
+//! left), residue from that packet on. With threads > 1 the round
+//! engine reports the classification. These tests drive it over
+//! randomized deployments, congestion levels, and fault plans (node
+//! crashes plus deep battery drains that kill elected heads mid-round),
+//! then byte-diff the deterministic event streams and reports across
+//! thread counts and check the classification was reported and that
+//! mid-round head deaths show up in the residue.
 
 use proptest::prelude::*;
 use qlec::core::QlecProtocol;
@@ -91,13 +90,11 @@ fn run_once(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Every proven-clean packet commits with the sequential oracle's
-    /// exact (battery draw, queue verdict, event) triple: the threads=2
-    /// run executes the reservation pre-pass with its per-packet
-    /// asserts armed, and its stream and report must be byte-identical
-    /// to the threads=1 oracle run — under randomized deployments,
-    /// congestion, node crashes, and battery drains deep enough to
-    /// leave elected heads dying mid-round.
+    /// The threads=2 run, which reports the merge classification, has
+    /// a stream and report byte-identical to the threads=1 oracle run —
+    /// under randomized deployments, congestion, node crashes, and
+    /// battery drains deep enough to leave elected heads dying
+    /// mid-round — and classifies at least one packet.
     #[test]
     fn clean_packets_match_the_sequential_oracle(
         seed in 0u64..64,
@@ -136,7 +133,7 @@ proptest! {
             run_once(seed, n, k, rounds, lambda, 5.0, 2, Some(&plan));
         prop_assert!(stream == base_stream, "event stream diverged at threads = 2");
         prop_assert_eq!(report, base_report);
-        // The pre-pass actually ran and classified this workload.
+        // The classification was reported for this workload.
         let profile = profiler.report();
         let clean = profile.counter("merge.clean_commits").unwrap_or(0);
         let residue = profile.counter("merge.residue").unwrap_or(0);
@@ -149,8 +146,8 @@ proptest! {
 
 /// A fault plan that drains every node to a sliver must produce
 /// mid-round head deaths — packets planned against a head that is gone
-/// by reception time — and those must land in the dead-head residue
-/// class, still byte-identical to the sequential oracle.
+/// by reception time — which retarget live and so leave residue, still
+/// byte-identical to the sequential oracle.
 #[test]
 fn mid_round_head_kills_take_the_dead_head_path() {
     // 1 J batteries, drained to ~30 mJ minus round-1 spend at round 2:
