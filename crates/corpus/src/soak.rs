@@ -1,8 +1,9 @@
 //! Time-boxed randomized soak: sample specs + fault plans from the full
 //! CLI vocabulary, run the corpus invariants and the threads-1-vs-T
-//! byte diff (T drawn from 2–4) against each, and on any failure greedily shrink the spec
-//! and write a minimized reproducer as a single `--spec`-loadable JSON
-//! file (the fault plan rides inline, so replay is one command).
+//! byte diff (T drawn from 2–4) against each, and on any failure
+//! greedily shrink the spec and write a minimized reproducer as a single
+//! `--spec`-loadable JSON file (the fault plan rides inline, so replay
+//! is one command).
 
 use crate::{check_run, report_fingerprint, run_cell};
 use qlec_cli::spec::SimSpec;

@@ -814,7 +814,6 @@ mod tests {
     /// Commit a hand-built round through the merge entry point against
     /// fresh per-slot queues, a nearest-head protocol for the live
     /// continuation, and no observers.
-    #[allow(clippy::too_many_arguments)]
     fn commit_round(
         net: &mut Network,
         cfg: &SimConfig,
