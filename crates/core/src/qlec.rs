@@ -358,7 +358,10 @@ impl QlecProtocol {
     /// removes the nodes that died since the last round. Queries behave
     /// identically either way: every grid consumer filters dead nodes
     /// out-of-band (`is_elected` / `is_alive`), so whether a dead node's
-    /// entry is still present is unobservable.
+    /// entry is still present is unobservable. One known exception: a node
+    /// revived after a blackout is not re-inserted, so `Incremental` stops
+    /// seeing it (see ROADMAP item 5 and the ignored
+    /// `rebuild_and_incremental_modes_agree_across_a_blackout_revival`).
     /// Also brings `alive_roster` in line with the network (both modes),
     /// folding the roster diff into the same per-node pass as the grid's
     /// death diff so the round pays one alive scan, not one per consumer.
@@ -1140,6 +1143,42 @@ mod tests {
             rebuild.rounds.last().map(|r| r.alive_end),
             incremental.rounds.last().map(|r| r.alive_end)
         );
+    }
+
+    #[test]
+    #[ignore = "known divergence, see ROADMAP item 5"]
+    fn rebuild_and_incremental_modes_agree_across_a_blackout_revival() {
+        // A region blackout takes its nodes offline for rounds 2–4 and
+        // revives them at round 5. The incremental node grid removes a
+        // node when it goes dark but never re-inserts it on revival, so
+        // from round 5 on revived nodes miss HELLO reception (and count
+        // for nothing in Algorithm 3) while the rebuilt grid sees them.
+        // The two reports must be byte-identical once that is fixed.
+        use crate::params::HeadIndexMode;
+        use qlec_geom::Aabb;
+        use qlec_net::{FaultDriver, FaultEvent, FaultPlan};
+        let run = |mode: HeadIndexMode| {
+            let plan = FaultPlan::named(
+                "revival",
+                vec![FaultEvent::RegionBlackout {
+                    from_round: 2,
+                    to_round: 4,
+                    region: Aabb::new(Vec3::ZERO, Vec3::splat(120.0)),
+                }],
+            );
+            let net = paper_net(51, AnyLink::Ideal(IdealLink));
+            let mut rng = StdRng::seed_from_u64(52);
+            let mut p = QlecProtocol::builder().k(5).head_index(mode).build();
+            let mut cfg = SimConfig::paper(5.0);
+            cfg.rounds = 10;
+            let report = Simulator::builder(net)
+                .config(cfg)
+                .faults(FaultDriver::new(plan).expect("valid plan"))
+                .build()
+                .run(&mut p, &mut rng);
+            serde_json::to_string(&report).expect("report serializes")
+        };
+        assert_eq!(run(HeadIndexMode::Rebuild), run(HeadIndexMode::Incremental));
     }
 
     #[test]

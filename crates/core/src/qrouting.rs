@@ -636,7 +636,7 @@ impl QRowStore {
     /// within a round.
     pub fn record(&mut self, src: u32, key: u32, q: f64) {
         let i = src as usize;
-        debug_assert!(i < self.n, "source {src} out of range");
+        assert!(i < self.n, "source {src} out of range");
         if self.stamp[i] != self.round {
             match self.mode {
                 QRowsMode::Dense => {
