@@ -12,7 +12,7 @@
 //! Usage: `cargo run --release -p qlec-bench --bin scale -- \
 //!     [--sizes 100,1000,10000] [--threads 1] [--rounds 20] \
 //!     [--candidates auto|full|<n>] \
-//!     [--head-index incremental,rebuild] [--q-rows sparse,dense] \
+//!     [--head-index incremental,rebuild] \
 //!     [--lambda 5] [--seed 42] \
 //!     [--events-sink sync,async] [--out BENCH_scale.json] [--append] \
 //!     [--validate] [--compare BASE.json] [--gate-thread-scaling 1.6]`
@@ -23,8 +23,7 @@
 //! async pipeline's hot-thread win over the synchronous sink.
 //!
 //! When the sweep includes a `threads = 1` point alongside multi-thread
-//! points at the same (N, candidates, head-index, q-rows, rounds, λ)
-//! coordinates,
+//! points at the same (N, candidates, head-index, rounds, λ) coordinates,
 //! the artifact gains `thread_scaling` summary rows: headline pkt/s
 //! speedup plus per-phase wall speedups against the single-threaded
 //! baseline. `--gate-thread-scaling FLOOR` turns those rows into a CI
@@ -48,40 +47,41 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Version tag of the `BENCH_scale.json` artifact. Bump on any field
-/// addition, removal, or semantic change. v2: added `threads` (engine
-/// worker count per run) and replaced `candidate_heads` with the
-/// `candidates` policy spelling. v3: added `head_index` (spatial-index
-/// maintenance mode per run), admitted `legacy-auto` as a candidates
-/// spelling, and `peak_rss_bytes` is now omitted — not null — on
-/// platforms that cannot report it. v4: added per-phase-per-thread
-/// busy spans (`phase_threads`), merge-stage counters
-/// (`merge_conflicts`, `merge_retargets`), round-latency quantiles
-/// (`round_p50_ns`/`round_p90_ns`/`round_p99_ns`), and optional
-/// `events_pipeline` rows measuring the hot-thread cost of the sync vs
-/// async full-events sinks (present when `--events-sink` was passed).
-/// v5: added `threads_resolved` (the worker count the engine actually
-/// used — never 0, so `auto` sweeps record what they ran on), the
-/// sharded-merge counters (`merge_shards`, `merge_shard_max`), and the
-/// top-level `thread_scaling` summary array (always present; empty when
-/// the sweep has no `threads = 1` baseline to compare against).
-/// v6: added `q_rows` (`dense` or `sparse`, the decision-Q diagnostic
-/// layout) to every run and to the `--compare` matching key, and
-/// `--compare` now also gates `peak_rss_bytes` at scale — a matched
-/// point with `n ≥ 100 000` fails when its fresh peak RSS grows more
-/// than 25 % past the baseline's (skipped when either side lacks the
-/// counter).
-/// v7: every run now records its own `lambda` (so one artifact can mix
-/// congestion levels; `lambda` joins the `--compare` and
-/// thread-scaling matching keys), plus the merge classification
-/// counters `merge_clean_commits` / `merge_residue` and the derived
-/// `residue_fraction` (a number on multi-thread runs, `null` on
-/// `threads = 1` runs, which report no classification). `--compare` gates
-/// `residue_fraction` as a regression: a matched point whose fresh
-/// fraction grows more than [`RESIDUE_TOLERANCE`] (absolute) past the
-/// baseline's fails, and `--gate-thread-scaling` now applies its floor
-/// only to rows with `n ≥` [`SCALING_GATE_MIN_N`] (smaller rows warn —
-/// see the gate's docs for why small-N inversion is expected).
+/// addition, removal, or semantic change (the history of earlier
+/// versions is in git and CHANGES.md).
+///
+/// A v7 artifact carries `schema`, the sweep's `lambda` and `seed`, a
+/// `thread_scaling` array (empty when the sweep has no `threads = 1`
+/// baseline) and one `runs` row per point. Each row records:
+///
+/// - its coordinates `n`, `k`, `rounds`, `threads`, `threads_resolved`
+///   (never 0), `candidates`, `head_index`, `q_rows` and `lambda`;
+///   `(n, threads, candidates, head_index, q_rows, lambda, rounds)` is
+///   the `--compare` and `--append` key, and `thread_scaling` pairs rows
+///   that differ only in `threads`. `q_rows` is always `"sparse"`: no
+///   Q-row layout remains to choose, and the field stays so committed
+///   artifacts and their keys still match;
+/// - end-to-end `wall_s`, `packets`, `packets_per_sec`, `pdr`,
+///   `alive_end` and, where the platform reports it, `peak_rss_bytes`
+///   (omitted, never null, elsewhere);
+/// - per-phase `phase_wall` and per-(phase, worker) `phase_threads`;
+/// - the merge counters `merge_conflicts`, `merge_retargets`,
+///   `merge_shards`, `merge_shard_max`, `merge_clean_commits`,
+///   `merge_residue` and the derived `residue_fraction` (a number on
+///   multi-thread runs, `null` on `threads = 1` runs, which report no
+///   classification);
+/// - `round_p50_ns` / `round_p90_ns` / `round_p99_ns`, and
+///   `events_pipeline` rows when `--events-sink` was passed.
+///
+/// `--compare` gates `packets_per_sec` ([`REGRESSION_TOLERANCE`]),
+/// `residue_fraction` ([`RESIDUE_TOLERANCE`]) and, at
+/// `n ≥` [`RSS_GATE_MIN_N`], `peak_rss_bytes` ([`RSS_TOLERANCE`]);
+/// `--gate-thread-scaling` applies its floor to rows with
+/// `n ≥` [`SCALING_GATE_MIN_N`].
 const SCALE_SCHEMA: &str = "qlec-bench-scale/v7";
+
+/// The `q_rows` value every fresh row records (see [`SCALE_SCHEMA`]).
+const Q_ROWS_LABEL: &str = "sparse";
 
 /// `--compare` fails on a `packets_per_sec` drop of more than this
 /// fraction below the baseline at any matching point.
@@ -137,7 +137,9 @@ struct ScaleRun {
     candidates: String,
     /// Spatial-index maintenance mode (`incremental` or `rebuild`).
     head_index: String,
-    /// Decision-Q diagnostic row layout (`sparse` or `dense`).
+    /// The v7 `q_rows` coordinate. Fresh rows always write
+    /// [`Q_ROWS_LABEL`]; a baseline row may carry either accepted
+    /// spelling.
     q_rows: String,
     /// Traffic congestion level λ this run was generated under. v7:
     /// per-row, so one artifact can carry rows at several congestion
@@ -490,13 +492,11 @@ fn policy_label(policy: CandidatePolicy) -> String {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_size(
     n: usize,
     rounds: u32,
     candidates: CandidatePolicy,
     head_index: HeadIndexMode,
-    q_rows: QRowsMode,
     threads: usize,
     lambda: f64,
     seed: u64,
@@ -517,7 +517,6 @@ fn run_size(
     let params = QlecParams {
         candidates,
         head_index,
-        q_rows,
         ..spec.qlec_params()
     };
     let mut protocol = ProtocolKind::Qlec.build_observed(&params, &obs);
@@ -564,7 +563,7 @@ fn run_size(
         threads_resolved: report.threads,
         candidates: policy_label(candidates),
         head_index: head_index.label().to_string(),
-        q_rows: q_rows.label().to_string(),
+        q_rows: Q_ROWS_LABEL.to_string(),
         lambda,
         wall_s,
         packets: report.totals.generated,
@@ -1154,28 +1153,6 @@ fn main() {
             HeadIndexMode::parse(s.trim()).unwrap_or_else(|e| die(&format!("--head-index: {e}")))
         })
         .collect();
-    let q_rows_modes: Vec<QRowsMode> = flag_value(&args, "--q-rows")
-        .unwrap_or_else(|| "sparse".into())
-        .split(',')
-        .map(|s| QRowsMode::parse(s.trim()).unwrap_or_else(|e| die(&format!("--q-rows: {e}"))))
-        .collect();
-    // Refuse an infeasible sweep up front — the dense oracle needs
-    // n·(n+1) Q-entries, which the protocol rejects past its hard cap.
-    if q_rows_modes.contains(&QRowsMode::Dense) {
-        for &n in &sizes {
-            let feasible = n
-                .checked_add(1)
-                .and_then(|cols| n.checked_mul(cols))
-                .is_some_and(|entries| entries <= qlec_core::qrouting::MAX_DENSE_Q_ENTRIES);
-            if !feasible {
-                die(&format!(
-                    "--q-rows dense needs {n}·({n}+1) Q-entries at N = {n}, above the {}-entry \
-                     cap; drop dense or the size",
-                    qlec_core::qrouting::MAX_DENSE_Q_ENTRIES
-                ));
-            }
-        }
-    }
     let lambda: f64 = flag_value(&args, "--lambda").map_or(5.0, |s| match s.parse() {
         Ok(l) if l > 0.0 => l,
         _ => die(&format!("--lambda takes a positive number, got `{s}`")),
@@ -1213,44 +1190,39 @@ fn main() {
     for &n in &sizes {
         for &threads in &threads_list {
             for &mode in &head_modes {
-                for &q_mode in &q_rows_modes {
-                    let mut run =
-                        run_size(n, rounds, candidates, mode, q_mode, threads, lambda, seed);
-                    eprintln!(
-                        "N = {n:>6} × {threads} thread(s), {}, q-rows {}: {:.2}s wall, \
-                         {:.0} packets/s",
-                        run.head_index, run.q_rows, run.wall_s, run.packets_per_sec
+                let mut run = run_size(n, rounds, candidates, mode, threads, lambda, seed);
+                eprintln!(
+                    "N = {n:>6} × {threads} thread(s), {}: {:.2}s wall, {:.0} packets/s",
+                    run.head_index, run.wall_s, run.packets_per_sec
+                );
+                if let Some(kinds) = &events_sinks {
+                    run.events_pipeline = run_events_pipeline(
+                        n, rounds, candidates, mode, threads, lambda, seed, kinds,
                     );
-                    if let Some(kinds) = &events_sinks {
-                        run.events_pipeline = run_events_pipeline(
-                            n, rounds, candidates, mode, threads, lambda, seed, kinds,
+                    for row in &run.events_pipeline {
+                        eprintln!(
+                            "    events via {:<5}: {:>9} events, {:.1} ms on the hot thread \
+                             ({:.0} ns/event)",
+                            row.sink,
+                            row.events,
+                            row.hot_ns as f64 / 1e6,
+                            row.hot_ns as f64 / row.events.max(1) as f64,
                         );
-                        for row in &run.events_pipeline {
-                            eprintln!(
-                                "    events via {:<5}: {:>9} events, {:.1} ms on the hot thread \
-                                 ({:.0} ns/event)",
-                                row.sink,
-                                row.events,
-                                row.hot_ns as f64 / 1e6,
-                                row.hot_ns as f64 / row.events.max(1) as f64,
-                            );
-                        }
                     }
-                    rows.push(vec![
-                        run.n.to_string(),
-                        run.k.to_string(),
-                        run.threads.to_string(),
-                        run.head_index.clone(),
-                        run.q_rows.clone(),
-                        format!("{:.2}s", run.wall_s),
-                        run.packets.to_string(),
-                        format!("{:.0}", run.packets_per_sec),
-                        format!("{:.4}", run.pdr),
-                        run.peak_rss_bytes
-                            .map_or("n/a".into(), |b| format!("{:.1}", b as f64 / 1e6)),
-                    ]);
-                    report.runs.push(run);
                 }
+                rows.push(vec![
+                    run.n.to_string(),
+                    run.k.to_string(),
+                    run.threads.to_string(),
+                    run.head_index.clone(),
+                    format!("{:.2}s", run.wall_s),
+                    run.packets.to_string(),
+                    format!("{:.0}", run.packets_per_sec),
+                    format!("{:.4}", run.pdr),
+                    run.peak_rss_bytes
+                        .map_or("n/a".into(), |b| format!("{:.1}", b as f64 / 1e6)),
+                ]);
+                report.runs.push(run);
             }
         }
     }
@@ -1264,7 +1236,6 @@ fn main() {
             "k",
             "thr",
             "index",
-            "q-rows",
             "wall",
             "packets",
             "pkt/s",
@@ -1375,20 +1346,7 @@ mod tests {
     use super::*;
 
     fn tiny_run(threads: usize, mode: HeadIndexMode) -> ScaleRun {
-        tiny_run_q(threads, mode, QRowsMode::Sparse)
-    }
-
-    fn tiny_run_q(threads: usize, mode: HeadIndexMode, q_rows: QRowsMode) -> ScaleRun {
-        run_size(
-            30,
-            2,
-            CandidatePolicy::Fixed(4),
-            mode,
-            q_rows,
-            threads,
-            8.0,
-            7,
-        )
+        run_size(30, 2, CandidatePolicy::Fixed(4), mode, threads, 8.0, 7)
     }
 
     #[test]
@@ -1514,10 +1472,15 @@ mod tests {
             r.lambda = 9.0;
             r
         };
+        let other_q_rows = {
+            let mut r = tiny_run(1, HeadIndexMode::Incremental);
+            r.q_rows = "dense".into();
+            r
+        };
         for other_run in [
             tiny_run(2, HeadIndexMode::Incremental),
             tiny_run(1, HeadIndexMode::Rebuild),
-            tiny_run_q(1, HeadIndexMode::Incremental, QRowsMode::Dense),
+            other_q_rows,
             other_lambda,
         ] {
             let other = serde_json::to_string(&ScaleReport {
@@ -1945,7 +1908,6 @@ mod tests {
             2,
             CandidatePolicy::Fixed(4),
             HeadIndexMode::Incremental,
-            QRowsMode::Sparse,
             2,
             9.0,
             7,

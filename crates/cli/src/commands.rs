@@ -7,7 +7,7 @@ use qlec_clustering::deec::DeecProtocol;
 use qlec_clustering::heed::HeedProtocol;
 use qlec_clustering::leach::LeachProtocol;
 use qlec_clustering::{FcmProtocol, KMeansProtocol};
-use qlec_core::params::{CandidatePolicy, HeadIndexMode, QRowsMode, QlecParams};
+use qlec_core::params::{CandidatePolicy, HeadIndexMode, QlecParams};
 use qlec_core::{kopt, QlecProtocol};
 use qlec_dataset::{generate_china, records, GeneratorConfig};
 use qlec_geom::sample::MEAN_DIST_TO_CENTER_UNIT_CUBE;
@@ -88,11 +88,10 @@ NOTES:
   incremental (default) applies per-round deltas with a churn-triggered
   rebuild fallback, rebuild reconstructs them every round. Both modes
   produce byte-identical events and reports.
-  --q-rows picks the decision-Q row-store layout: sparse (default)
-  holds only each node's candidate-budget targets and scales to any N,
-  dense allocates N x (N+1) values and is refused above its entry cap.
-  The store is diagnostic-only: both layouts produce byte-identical
-  events and reports.
+  --q-rows sparse|dense is accepted for existing specs and scripts but
+  selects nothing: the router computes each Q-value per packet and never
+  stores Q-rows, so both spellings produce byte-identical events and
+  reports.
 ";
 
 /// Dispatch a parsed command line.
@@ -114,12 +113,10 @@ pub fn dispatch(args: &ParsedArgs) -> Result<String, String> {
 pub fn build_spec_protocol(spec: &SimSpec, obs: &ObserverSet) -> Result<Box<dyn Protocol>, String> {
     build_protocol(
         &spec.protocol,
-        spec.n,
         spec.k,
         spec.rounds,
         spec.candidates,
         spec.head_index,
-        spec.q_rows,
         obs,
     )
 }
@@ -140,32 +137,14 @@ pub fn run_spec(spec: &SimSpec, obs: ObserverSet) -> Result<(SimReport, MergeOut
     ))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn build_protocol(
     name: &str,
-    n: usize,
     k: usize,
     rounds: u32,
     candidates: CandidatePolicy,
     head_index: HeadIndexMode,
-    q_rows: QRowsMode,
     obs: &ObserverSet,
 ) -> Result<Box<dyn Protocol>, String> {
-    // Refuse an infeasible dense row store up front — the protocol would
-    // otherwise panic mid-run on its first round.
-    if name == "qlec" && q_rows == QRowsMode::Dense {
-        let feasible = n
-            .checked_add(1)
-            .and_then(|cols| n.checked_mul(cols))
-            .is_some_and(|entries| entries <= qlec_core::qrouting::MAX_DENSE_Q_ENTRIES);
-        if !feasible {
-            return Err(format!(
-                "--q-rows dense needs {n}·({n}+1) Q-entries at n = {n}, above the \
-                 {}-entry cap; use --q-rows sparse",
-                qlec_core::qrouting::MAX_DENSE_Q_ENTRIES
-            ));
-        }
-    }
     Ok(match name {
         "qlec" => Box::new(
             QlecProtocol::builder()
@@ -173,7 +152,6 @@ fn build_protocol(
                     total_rounds: rounds,
                     candidates,
                     head_index,
-                    q_rows,
                     ..QlecParams::paper_with_k(k)
                 })
                 .observer(obs.clone())
@@ -433,12 +411,10 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, String> {
 
     let mut protocol = build_protocol(
         &name,
-        setup.n,
         setup.k,
         setup.rounds,
         setup.candidates,
         setup.head_index,
-        setup.q_rows,
         &obs,
     )?;
     let report = execute_observed(&setup, protocol.as_mut(), obs.clone(), faults);
@@ -584,12 +560,10 @@ fn cmd_compare(args: &ParsedArgs) -> Result<String, String> {
             setup_s.death_line = 0.0;
             let mut protocol = build_protocol(
                 name,
-                setup.n,
                 setup.k,
                 setup.rounds,
                 CandidatePolicy::Auto,
                 HeadIndexMode::default(),
-                QRowsMode::default(),
                 &ObserverSet::new(),
             )?;
             let report = execute(&setup_s, protocol.as_mut());
@@ -784,14 +758,6 @@ mod tests {
             .unwrap();
             assert_eq!(base, out, "--q-rows {mode} must not change the report");
         }
-    }
-
-    #[test]
-    fn dense_q_rows_refused_at_scale_before_the_run() {
-        // 100k nodes would need ~10^10 dense entries; the refusal must
-        // arrive as a flag error, not a mid-run panic.
-        let err = run(&["run", "--n", "100000", "--rounds", "1", "--q-rows", "dense"]).unwrap_err();
-        assert!(err.contains("--q-rows sparse"), "{err}");
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!
 //! The JSON shape uses the CLI spellings everywhere — `"candidates"`
 //! accepts `"auto"`, `"full"`, or a positive integer;
-//! `"head_index"` accepts `"incremental"` or `"rebuild"`; `"q_rows"`
-//! accepts `"sparse"` or `"dense"`; `"threads"`
+//! `"head_index"` accepts `"incremental"` or `"rebuild"`; `"threads"`
 //! accepts a positive integer or `"auto"` — and every field is optional
 //! with the same defaults as the flags, so `{}` is the default run.
+//! `"q_rows"` accepts `"sparse"` or `"dense"` and selects nothing (see
+//! [`SimSpec::q_rows`]).
 //! Unknown keys are rejected (a typoed field must not silently fall back
 //! to its default).
 
@@ -55,8 +56,10 @@ pub struct SimSpec {
     pub candidates: CandidatePolicy,
     /// QLEC spatial-index maintenance mode.
     pub head_index: HeadIndexMode,
-    /// QLEC decision-Q row-store layout (`sparse` scales to any `N`;
-    /// `dense` is the small-deployment oracle, refused past its cap).
+    /// Accepted, inert spelling of the retired decision-Q row-store
+    /// layout ([`QRowsMode`]): no Q-row is materialized, so no value
+    /// changes a run. Kept so existing specs and golden ledgers, which
+    /// serialize `"q_rows": "sparse"`, still load.
     pub q_rows: QRowsMode,
     /// Worker threads for the round engine (`0` = auto, every core).
     pub threads: usize,

@@ -111,25 +111,19 @@ impl Deserialize for HeadIndexMode {
     }
 }
 
-/// How the per-round decision-Q diagnostic store lays out its rows (see
-/// `crate::qrouting::QRowStore`).
+/// Accepted spellings of the retired decision-Q row-store layout
+/// (`--q-rows`, the `q_rows` field of specs and serialized params).
 ///
-/// The hot routing path keeps only the per-node `V` vector; the row store
-/// is a write-only record of each round's decision Q-values, so the two
-/// layouts produce byte-identical event streams by construction. `Dense`
-/// allocates one `QTable` row per node with one column per possible
-/// target (`N + 1` with the BS) — quadratic, so it is refused above a
-/// hard entry cap and survives as the small-`k` golden oracle the sparse
-/// layout is differentially tested against. `Sparse` holds only the
-/// ≤ C candidate heads each node actually routed through (Theorem 1
-/// budget), keeping the store linear in `N` at any scale.
+/// The router keeps one `V*` per node and computes `Q*(b_i, a_j)` per
+/// packet (§4.2), so no Q-row is ever materialized and neither value
+/// selects anything: a run is byte-identical under both. The type stays
+/// only so existing specs, golden ledgers and bench artifacts (which
+/// serialize `"q_rows": "sparse"`) keep loading.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QRowsMode {
-    /// One dense row per node (`N × (N + 1)` values). Small deployments
-    /// only; creation fails past the entry cap.
+    /// Accepted and inert.
     Dense,
-    /// Per-node [`qlec_mdp::SparseQRow`] sized by the Theorem-1 candidate
-    /// budget. The default.
+    /// Accepted and inert. The default and the serialized value.
     #[default]
     Sparse,
 }
@@ -237,10 +231,8 @@ pub struct QlecParams {
     /// benchmark baseline. Deserialization of pre-existing configs
     /// (field absent) defaults to [`HeadIndexMode::Incremental`].
     pub head_index: HeadIndexMode,
-    /// Layout of the per-round decision-Q diagnostic store (see
-    /// [`QRowsMode`]). Both layouts record the same values and leave the
-    /// event stream untouched; `Dense` is refused above its entry cap.
-    /// Deserialization of pre-existing configs (field absent) defaults to
+    /// Accepted, inert spelling (see [`QRowsMode`]): no value changes a
+    /// run. Deserialization of configs without the field defaults to
     /// [`QRowsMode::Sparse`].
     pub q_rows: QRowsMode,
 }

@@ -13,8 +13,8 @@
 
 use crate::deec_improved::{select_heads_from_roster, SelectionFeatures, SelectionOutcome};
 use crate::kopt;
-use crate::params::{CandidatePolicy, HeadIndexMode, QRowsMode, QlecParams};
-use crate::qrouting::{ActionConst, QRouter, QRowStore};
+use crate::params::{CandidatePolicy, HeadIndexMode, QlecParams};
+use crate::qrouting::{ActionConst, QRouter};
 use qlec_geom::{IncrementalKdIndex, UniformGrid, Vec3};
 use qlec_net::protocol::{nearest_head, PlanScratch, RoutePlanner};
 use qlec_net::{Network, NodeId, Protocol, Target};
@@ -82,9 +82,6 @@ pub struct QlecProtocol {
     /// maintenance) this tracks revivals too, so the roster always equals
     /// the true alive set.
     roster_alive: Vec<bool>,
-    /// Per-round decision-Q diagnostic store (see [`QRowStore`]); layout
-    /// per [`QlecParams::q_rows`]. Write-only on the decision path.
-    q_rows_store: Option<QRowStore>,
     /// Reused scratch for the per-packet k-nearest query (tree window).
     knn_buf: Vec<(u32, f64)>,
     /// Reused scratch holding the pruned candidate head set.
@@ -209,18 +206,6 @@ impl QlecBuilder {
         self
     }
 
-    /// Set the decision-Q row-store layout. The default
-    /// [`QRowsMode::Sparse`] scales to any deployment;
-    /// [`QRowsMode::Dense`] is the small-deployment golden oracle and
-    /// makes the first round panic past the dense entry cap (CLI callers
-    /// pre-validate with [`crate::qrouting::MAX_DENSE_Q_ENTRIES`]).
-    /// Either way the store is write-only on the decision path, so runs
-    /// are byte-identical across layouts.
-    pub fn q_rows(mut self, mode: QRowsMode) -> Self {
-        self.params.q_rows = mode;
-        self
-    }
-
     /// Override the displayed protocol name (ablation labelling).
     pub fn named(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
@@ -263,7 +248,6 @@ impl QlecBuilder {
             alive_mask: Vec::new(),
             alive_roster: Vec::new(),
             roster_alive: Vec::new(),
-            q_rows_store: None,
             knn_buf: Vec::new(),
             candidate_buf: Vec::new(),
             retarget_knn: HashMap::new(),
@@ -311,11 +295,6 @@ impl QlecProtocol {
         self.router.as_ref()
     }
 
-    /// The decision-Q row store (populated after the first round).
-    pub fn q_rows(&self) -> Option<&QRowStore> {
-        self.q_rows_store.as_ref()
-    }
-
     /// Total elementary Q updates so far — the paper's `X`.
     pub fn q_updates(&self) -> u64 {
         self.router.as_ref().map_or(0, |r| r.updates.total())
@@ -335,19 +314,6 @@ impl QlecProtocol {
         }
         if self.router.is_none() {
             self.router = Some(QRouter::new(net, self.params));
-        }
-        if self.q_rows_store.is_none() {
-            let k = self.k.expect("set above");
-            // A row must hold one round's distinct targets: the pruned
-            // candidate window (budget + the query's death padding) or
-            // the full head set when pruning is off, plus the BS.
-            let budget = match self.params.candidates.budget(k) {
-                Some(c) => c + 9,
-                None => k + 9,
-            };
-            let store = QRowStore::new(net.len(), budget, self.params.q_rows)
-                .unwrap_or_else(|e| panic!("{e}"));
-            self.q_rows_store = Some(store);
         }
     }
 
@@ -433,9 +399,6 @@ impl Protocol for QlecProtocol {
         self.ensure_initialized(net);
         self.current_round = round;
         self.qrouting_ns = 0;
-        if let Some(store) = self.q_rows_store.as_mut() {
-            store.begin_round(round);
-        }
         let k = self.k.expect("initialized above");
         // Index maintenance, part 1: the Algorithm 3 node grid. Timed
         // into the round's IndexMaintenance span (which nests inside the
@@ -494,11 +457,6 @@ impl Protocol for QlecProtocol {
         if self.q_routing {
             if let Some(router) = self.router.as_mut() {
                 let deltas = router.head_update_batch(net, &heads, self.aggregate_share);
-                if let Some(store) = self.q_rows_store.as_mut() {
-                    for &h in &heads {
-                        store.record(h.0, u32::MAX, router.v_of(h));
-                    }
-                }
                 if self.obs.is_active() {
                     for (&h, &delta) in heads.iter().zip(&deltas) {
                         self.obs.emit(Event::QUpdate {
@@ -573,9 +531,6 @@ impl Protocol for QlecProtocol {
                 .as_mut()
                 .expect("router initialized in on_round_start");
             let target = router.send_data_excluding(net, src, candidates, excluded);
-            if let Some(store) = self.q_rows_store.as_mut() {
-                store.record(src.0, overlay_key(target), router.v_of(src));
-            }
             if self.obs.is_active() {
                 self.qrouting_ns += self.obs.now_ns().saturating_sub(start_ns);
                 self.obs.emit(Event::QUpdate {
@@ -605,11 +560,6 @@ impl Protocol for QlecProtocol {
         if let Some(router) = self.router.as_mut() {
             let start_ns = self.obs.now_ns();
             let deltas = router.head_update_batch(net, heads, self.aggregate_share);
-            if let Some(store) = self.q_rows_store.as_mut() {
-                for &h in heads {
-                    store.record(h.0, u32::MAX, router.v_of(h));
-                }
-            }
             if self.obs.is_active() {
                 for (&h, &delta) in heads.iter().zip(&deltas) {
                     self.obs.emit(Event::QUpdate {
@@ -651,11 +601,6 @@ impl Protocol for QlecProtocol {
             .expect("QlecProtocol scratch");
         if let Some(router) = self.router.as_mut() {
             router.absorb_plan(src, s.v_src, s.updates, &s.deltas);
-        }
-        if let Some(store) = self.q_rows_store.as_mut() {
-            for &(key, q) in &s.decisions {
-                store.record(src.0, key, q);
-            }
         }
         self.qrouting_ns += s.ns;
         if self.obs.is_active() {
@@ -701,10 +646,6 @@ struct QlecPlanScratch {
     action_buf: Vec<ActionConst>,
     /// Signed `V*(src)` change per planned packet, in packet order.
     deltas: Vec<f64>,
-    /// `(target key, V*(src) after)` per planned decision, in packet
-    /// order — absorbed into the Q-row store on the main thread so store
-    /// contents match the single-threaded commit path.
-    decisions: Vec<(u32, f64)>,
     /// Elementary Q computations performed while planning.
     updates: u64,
     ns: u64,
@@ -729,7 +670,6 @@ impl RoutePlanner for QlecProtocol {
             knn_ready: false,
             action_buf: Vec::new(),
             deltas: Vec::new(),
-            decisions: Vec::new(),
             updates: 0,
             ns: 0,
         })
@@ -770,7 +710,6 @@ impl RoutePlanner for QlecProtocol {
             knn_ready,
             action_buf,
             deltas,
-            decisions,
             updates,
             ns,
         } = s;
@@ -817,7 +756,6 @@ impl RoutePlanner for QlecProtocol {
             net, src, candidates, nacked, v_src, &p_base, updates, action_buf,
         );
         deltas.push(*v_src - v_before);
-        decisions.push((overlay_key(target), *v_src));
         if self.obs.is_active() {
             *ns += self.obs.now_ns().saturating_sub(start_ns);
         }
@@ -1179,46 +1117,6 @@ mod tests {
             serde_json::to_string(&report).expect("report serializes")
         };
         assert_eq!(run(HeadIndexMode::Rebuild), run(HeadIndexMode::Incremental));
-    }
-
-    #[test]
-    fn q_rows_layouts_run_identically_and_record_the_same_rows() {
-        // The store is write-only on the decision path, so dense and
-        // sparse layouts must leave every simulation observable untouched
-        // — and, since they record the same decisions, their final-round
-        // rows must agree entry for entry.
-        let run = |mode: QRowsMode| {
-            let net = paper_net(41, AnyLink::Ideal(IdealLink));
-            let mut rng = StdRng::seed_from_u64(42);
-            let mut p = QlecProtocol::builder().k(5).q_rows(mode).build();
-            let mut cfg = SimConfig::paper(5.0);
-            cfg.rounds = 10;
-            let report = Simulator::builder(net)
-                .config(cfg)
-                .build()
-                .run(&mut p, &mut rng);
-            (report, p)
-        };
-        let (dense_report, dense_p) = run(QRowsMode::Dense);
-        let (sparse_report, sparse_p) = run(QRowsMode::Sparse);
-        assert_eq!(
-            dense_report.consumption_rates,
-            sparse_report.consumption_rates
-        );
-        assert_eq!(dense_report.pdr(), sparse_report.pdr());
-        assert_eq!(
-            dense_report.mean_head_count(),
-            sparse_report.mean_head_count()
-        );
-        let dense = dense_p.q_rows().expect("store populated");
-        let sparse = sparse_p.q_rows().expect("store populated");
-        assert_eq!(dense.mode(), QRowsMode::Dense);
-        assert_eq!(sparse.mode(), QRowsMode::Sparse);
-        assert_eq!(dense.rows_touched(), sparse.rows_touched());
-        assert!(dense.rows_touched() > 0, "final round recorded decisions");
-        for i in 0..dense.len() as u32 {
-            assert_eq!(dense.row(i), sparse.row(i), "node {i}");
-        }
     }
 
     #[test]

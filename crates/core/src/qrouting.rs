@@ -25,8 +25,8 @@
 //! normalized by the cost at a reference distance, so the Table 2 weights
 //! are meaningful on any deployment.
 
-use crate::params::{QRowsMode, QlecParams};
-use qlec_mdp::{ConvergenceTracker, QTable, SparseQRow, UpdateCounter};
+use crate::params::QlecParams;
+use qlec_mdp::{ConvergenceTracker, UpdateCounter};
 use qlec_net::{Network, NodeId, Target};
 use std::collections::HashMap;
 
@@ -523,197 +523,6 @@ impl QRouter {
     }
 }
 
-/// Hard cap on the dense row store: `N · (N + 1)` Q-values may not
-/// exceed this (2²⁶ entries ≈ 512 MiB of `f64`), so a dense store is a
-/// small-deployment diagnostic by construction — at the 100k/1M-node
-/// scales only [`QRowsMode::Sparse`] is accepted.
-pub const MAX_DENSE_Q_ENTRIES: usize = 1 << 26;
-
-/// Per-round record of every node's decision Q-values — the paper's
-/// Q-rows, materialized for inspection without touching the hot path.
-///
-/// The router itself stores only `V*` per node (`Q*(b_i, a_j)` is
-/// *computed* per packet, §4.2); this store records the value behind
-/// each committed decision: `V*(src)` after a `Send-Data` argmax keyed
-/// by the chosen target, and a head's line-15 `Q(h, a_BS)` keyed by the
-/// BS. It is strictly write-only with respect to routing — nothing on
-/// the decision path ever reads it — so dense and sparse layouts (and
-/// any thread count) produce byte-identical event streams by
-/// construction.
-///
-/// Rows are cleared lazily per round via a round stamp: a row's first
-/// write in round `r` resets it, and reads of rows not written in the
-/// current round see an empty row. Keys are node ids with `u32::MAX`
-/// for the BS (the link-table convention).
-#[derive(Debug, Clone)]
-pub struct QRowStore {
-    mode: QRowsMode,
-    /// `Dense` layout: row = source node, column = target node id with
-    /// column `n` as the BS.
-    dense: Option<QTable>,
-    /// `Sparse` layout: one budgeted row per source node.
-    sparse: Vec<SparseQRow>,
-    /// Round each row was last written in (`u32::MAX` = never).
-    stamp: Vec<u32>,
-    round: u32,
-    n: usize,
-}
-
-impl QRowStore {
-    /// Create a store for `n` nodes. `budget` caps the entries a sparse
-    /// row retains (the Theorem-1 candidate window plus the BS; the
-    /// weakest entry is evicted beyond it — acceptable for a diagnostic,
-    /// and unreachable while per-round distinct targets fit the budget).
-    ///
-    /// Dense creation fails with a descriptive error when `n · (n + 1)`
-    /// overflows or exceeds [`MAX_DENSE_Q_ENTRIES`].
-    pub fn new(n: usize, budget: usize, mode: QRowsMode) -> Result<Self, String> {
-        let budget = budget.max(1);
-        let (dense, sparse) = match mode {
-            QRowsMode::Dense => {
-                let cols = n
-                    .checked_add(1)
-                    .ok_or_else(|| format!("dense Q-row store overflows usize: {n} nodes"))?;
-                let entries = n
-                    .checked_mul(cols)
-                    .ok_or_else(|| format!("dense Q-row store overflows usize: {n} x {cols}"))?;
-                if entries > MAX_DENSE_Q_ENTRIES {
-                    return Err(format!(
-                        "dense Q-row store needs {entries} entries for {n} nodes, \
-                         above the {MAX_DENSE_Q_ENTRIES}-entry cap; use --q-rows sparse"
-                    ));
-                }
-                let table = QTable::try_zeros(n, cols).map_err(|e| e.to_string())?;
-                (Some(table), Vec::new())
-            }
-            QRowsMode::Sparse => (None, vec![SparseQRow::new(budget); n]),
-        };
-        Ok(QRowStore {
-            mode,
-            dense,
-            sparse,
-            stamp: vec![u32::MAX; n],
-            round: 0,
-            n,
-        })
-    }
-
-    /// The layout in use.
-    pub fn mode(&self) -> QRowsMode {
-        self.mode
-    }
-
-    /// Number of source rows.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the store tracks zero nodes.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The round rows currently belong to.
-    pub fn round(&self) -> u32 {
-        self.round
-    }
-
-    /// Enter a round: later writes reset each row they touch first.
-    pub fn begin_round(&mut self, round: u32) {
-        self.round = round;
-    }
-
-    fn col_of(&self, key: u32) -> usize {
-        if key == BS_KEY {
-            self.n
-        } else {
-            key as usize
-        }
-    }
-
-    /// Record the Q-value behind a decision of `src` toward `key` (a
-    /// node id, or `u32::MAX` for the BS). Last write per key wins
-    /// within a round.
-    pub fn record(&mut self, src: u32, key: u32, q: f64) {
-        let i = src as usize;
-        assert!(i < self.n, "source {src} out of range");
-        if self.stamp[i] != self.round {
-            match self.mode {
-                QRowsMode::Dense => {
-                    let table = self.dense.as_mut().expect("dense store has a table");
-                    for a in 0..=self.n {
-                        table.set(i, a, 0.0);
-                    }
-                }
-                QRowsMode::Sparse => self.sparse[i].clear(),
-            }
-            self.stamp[i] = self.round;
-        }
-        let col = self.col_of(key);
-        match self.mode {
-            QRowsMode::Dense => {
-                self.dense
-                    .as_mut()
-                    .expect("dense store has a table")
-                    .set(i, col, q);
-            }
-            QRowsMode::Sparse => {
-                self.sparse[i].set(key, q);
-            }
-        }
-    }
-
-    /// The recorded Q-value of `src` toward `key` this round (0.0 when
-    /// the row was not written this round or the key is absent).
-    pub fn q(&self, src: u32, key: u32) -> f64 {
-        let i = src as usize;
-        if i >= self.n || self.stamp[i] != self.round {
-            return 0.0;
-        }
-        match self.mode {
-            QRowsMode::Dense => self
-                .dense
-                .as_ref()
-                .expect("dense store has a table")
-                .get(i, self.col_of(key)),
-            QRowsMode::Sparse => self.sparse[i].get(key),
-        }
-    }
-
-    /// This round's non-zero entries of `src`'s row, key-ascending with
-    /// the BS (`u32::MAX`) last — the layout-independent view both modes
-    /// must agree on (dense cannot distinguish a recorded 0.0 from an
-    /// untouched cell, so exact zeros are filtered from both).
-    pub fn row(&self, src: u32) -> Vec<(u32, f64)> {
-        let i = src as usize;
-        if i >= self.n || self.stamp[i] != self.round {
-            return Vec::new();
-        }
-        match self.mode {
-            QRowsMode::Dense => {
-                let table = self.dense.as_ref().expect("dense store has a table");
-                (0..=self.n)
-                    .filter_map(|a| {
-                        let q = table.get(i, a);
-                        if q != 0.0 {
-                            let key = if a == self.n { BS_KEY } else { a as u32 };
-                            Some((key, q))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect()
-            }
-            QRowsMode::Sparse => self.sparse[i].iter().filter(|&(_, q)| q != 0.0).collect(),
-        }
-    }
-
-    /// Count of rows written in the current round.
-    pub fn rows_touched(&self) -> usize {
-        self.stamp.iter().filter(|&&s| s == self.round).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1081,82 +890,5 @@ mod tests {
         let total = r.updates.total();
         assert!(total >= 3 && total.is_multiple_of(3), "updates = {total}");
         assert!(total <= 3 * 200, "sweep cap respected");
-    }
-
-    #[test]
-    fn q_row_store_records_and_reads_back() {
-        for mode in [QRowsMode::Dense, QRowsMode::Sparse] {
-            let mut store = QRowStore::new(10, 4, mode).unwrap();
-            store.begin_round(0);
-            store.record(3, 7, -1.5);
-            store.record(3, super::BS_KEY, -9.0);
-            store.record(3, 7, -1.25); // last write wins
-            assert_eq!(store.q(3, 7), -1.25, "{mode:?}");
-            assert_eq!(store.q(3, super::BS_KEY), -9.0, "{mode:?}");
-            assert_eq!(store.q(3, 5), 0.0, "{mode:?}: unrecorded key");
-            assert_eq!(store.q(4, 7), 0.0, "{mode:?}: untouched row");
-            // BS sorts last in the layout-independent view.
-            assert_eq!(
-                store.row(3),
-                vec![(7, -1.25), (super::BS_KEY, -9.0)],
-                "{mode:?}"
-            );
-            assert_eq!(store.rows_touched(), 1, "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn q_row_store_clears_rows_lazily_per_round() {
-        for mode in [QRowsMode::Dense, QRowsMode::Sparse] {
-            let mut store = QRowStore::new(4, 3, mode).unwrap();
-            store.begin_round(0);
-            store.record(1, 2, -0.5);
-            store.begin_round(1);
-            // Stale rows read empty before any write...
-            assert_eq!(store.q(1, 2), 0.0, "{mode:?}");
-            assert!(store.row(1).is_empty(), "{mode:?}");
-            // ...and the first write of the new round resets the row.
-            store.record(1, 0, -2.0);
-            assert_eq!(store.row(1), vec![(0, -2.0)], "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn q_row_store_layouts_agree_on_a_replayed_sequence() {
-        let mut dense = QRowStore::new(6, 4, QRowsMode::Dense).unwrap();
-        let mut sparse = QRowStore::new(6, 4, QRowsMode::Sparse).unwrap();
-        let writes: &[(u32, u32, u32, f64)] = &[
-            (0, 0, 2, -1.0),
-            (0, 0, super::BS_KEY, -8.0),
-            (0, 5, 2, -0.25),
-            (1, 0, 3, -4.0), // round bump clears rows lazily
-            (1, 0, 2, -0.5),
-            (1, 5, 1, -0.125),
-        ];
-        let mut round = u32::MAX;
-        for &(r, src, key, q) in writes {
-            if r != round {
-                dense.begin_round(r);
-                sparse.begin_round(r);
-                round = r;
-            }
-            dense.record(src, key, q);
-            sparse.record(src, key, q);
-        }
-        for src in 0..6 {
-            assert_eq!(dense.row(src), sparse.row(src), "src {src}");
-        }
-        assert_eq!(dense.rows_touched(), sparse.rows_touched());
-    }
-
-    #[test]
-    fn dense_store_is_refused_past_the_entry_cap() {
-        // 8192 · 8193 just exceeds the 2²⁶ cap; the error names the fix.
-        let err = QRowStore::new(8192, 4, QRowsMode::Dense).unwrap_err();
-        assert!(err.contains("--q-rows sparse"), "unhelpful error: {err}");
-        // Sparse at the same size is fine (and tiny).
-        assert!(QRowStore::new(8192, 4, QRowsMode::Sparse).is_ok());
-        // A 100k-node dense store is refused without allocating.
-        assert!(QRowStore::new(100_000, 4, QRowsMode::Dense).is_err());
     }
 }

@@ -10,13 +10,15 @@
 //! Q*(Sₜ, Aₜ) = Rₜ + γ · Σ_{Sₜ₊₁} P^{Aₜ}_{Sₜ Sₜ₊₁} · max_a Q*(Sₜ₊₁, a)
 //! ```
 //!
-//! This crate keeps that machinery generic so it is testable against small
-//! reference problems independent of the sensor-network semantics:
+//! The protocol itself never materializes a Q-row: `qlec-core`'s router
+//! keeps one `V*` per node and computes `Q*(b_i, a_j)` per packet from
+//! that equation. This crate keeps the machinery generic so it is
+//! testable against small reference problems independent of the
+//! sensor-network semantics:
 //!
 //! * [`mdp::FiniteMdp`] — an explicit finite MDP (transition triples),
-//! * [`qtable::QTable`] — a dense `states × actions` action-value table,
-//! * [`sparse::SparseQRow`] — a budgeted sparse row (Theorem-1 candidate
-//!   working set) with the dense table kept as the small-k golden oracle,
+//! * [`qtable::QTable`] — a dense `states × actions` action-value table
+//!   for the solvers below,
 //! * [`solver`] — value iteration and expected (model-based) Q-updates,
 //! * [`qlearning`] — classic sample-based Q-learning for comparison,
 //! * [`double_q`] — Double Q-learning (overestimation-bias control),
@@ -38,9 +40,7 @@ pub mod qlearning;
 pub mod qtable;
 pub mod sarsa;
 pub mod solver;
-pub mod sparse;
 
 pub use convergence::{ConvergenceTracker, UpdateCounter};
 pub use mdp::{FiniteMdp, Transition};
 pub use qtable::{MdpError, QTable};
-pub use sparse::SparseQRow;

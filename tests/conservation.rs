@@ -4,7 +4,6 @@
 //! generated packet, and must agree with each other.
 
 use proptest::prelude::*;
-use qlec::core::params::QRowsMode;
 use qlec::core::QlecProtocol;
 use qlec::net::{NetworkBuilder, SimConfig, Simulator};
 use qlec::obs::{MemorySink, ObserverSet};
@@ -87,12 +86,13 @@ proptest! {
     }
 }
 
-/// One deterministic run at the scale the sparse Q-row layout exists
-/// for: N = 10 000 with the Theorem-1 candidate budget active (k = 50).
-/// The budgeted rows evict entries past their capacity, which must never
-/// bleed into routing — the simulator's ledger still closes exactly, and
-/// the diagnostic store actually recorded rows (a zero-row run would
-/// vacuously pass).
+/// One deterministic run at scale: N = 10 000 with the Theorem-1
+/// candidate budget active (k = 50), so every packet routes over a
+/// pruned candidate set. The simulator's ledger must still close
+/// exactly, per round and in total, over real traffic (a packet-free
+/// run would vacuously pass). The test keeps its historical name; the
+/// sparse Q-row store it once also checked is gone, since `Send-Data`
+/// never materializes Q-rows.
 #[test]
 fn qlec_conserves_packets_at_n10k_with_sparse_q_rows() {
     let mut rng = StdRng::seed_from_u64(0x10_000);
@@ -105,7 +105,6 @@ fn qlec_conserves_packets_at_n10k_with_sparse_q_rows() {
 
     let mut protocol = QlecProtocol::builder()
         .k(50)
-        .q_rows(QRowsMode::Sparse)
         .total_rounds(cfg.rounds)
         .build();
     let report = Simulator::builder(net)
@@ -126,7 +125,4 @@ fn qlec_conserves_packets_at_n10k_with_sparse_q_rows() {
         report.totals.generated > 1_000,
         "run must carry real traffic"
     );
-    let store = protocol.q_rows().expect("store initialized after a run");
-    assert_eq!(store.mode(), QRowsMode::Sparse);
-    assert!(store.rows_touched() > 0, "diagnostic rows were recorded");
 }

@@ -8,7 +8,7 @@
 //! paper scale (N = 100) and the pruned large-N configuration
 //! (N = 1000, auto candidate pruning active).
 
-use qlec::core::params::{HeadIndexMode, QRowsMode};
+use qlec::core::params::{HeadIndexMode, QRowsMode, QlecParams};
 use qlec::core::QlecProtocol;
 use qlec::net::trace::TraceRecorder;
 use qlec::net::{FaultDriver, FaultEvent, FaultPlan, NetworkBuilder, SimConfig, Simulator};
@@ -38,7 +38,7 @@ impl Write for SharedBuf {
 /// Stream-shaping options for [`run_once_with`]: which events-mode
 /// filter the sink applies, whether the sink sits behind the async
 /// (block-backpressure) pipeline, an optional fault plan to replay, and
-/// which Q-row diagnostic layout the protocol records into.
+/// which accepted `q_rows` spelling the protocol's params carry.
 #[derive(Clone)]
 struct RunOpts {
     events_mode: EventsMode,
@@ -114,9 +114,12 @@ fn run_once_with(
     cfg.rounds = rounds;
     cfg.threads = threads;
     let builder = QlecProtocol::builder()
+        .params(QlecParams {
+            q_rows: opts.q_rows,
+            ..QlecParams::paper()
+        })
         .k(k)
         .head_index(head_index)
-        .q_rows(opts.q_rows)
         .observer(obs.clone());
     let mut sim = Simulator::builder(net).config(cfg).observers(obs.clone());
     if let Some(plan) = &opts.faults {
@@ -208,12 +211,10 @@ fn assert_index_mode_invariant(n: usize, k: usize, rounds: u32, lambda: f64) {
     }
 }
 
-/// Assert that the Q-row diagnostic layout (dense oracle vs sparse
-/// budgeted rows) never leaks into behavior: the `QRowStore` is
-/// write-only with respect to routing decisions, so dense and sparse
-/// runs must produce byte-identical event streams and reports at every
-/// thread count. Both layouts also run against each other's thread
-/// counts, so a layout × fan-out interaction can't hide.
+/// Assert that the accepted `q_rows` spellings select nothing: no Q-row
+/// is materialized, so `dense` and `sparse` runs must produce
+/// byte-identical event streams and reports, and threads 1 and 2 must
+/// agree under either spelling.
 fn assert_q_rows_invariant(n: usize, k: usize, rounds: u32, lambda: f64) {
     let run = |threads: usize, q_rows: QRowsMode| {
         run_once_with(
@@ -255,17 +256,14 @@ fn assert_q_rows_invariant(n: usize, k: usize, rounds: u32, lambda: f64) {
     }
 }
 
-/// Paper scale: the dense oracle easily fits (100·101 entries), so this
-/// locks sparse-vs-dense byte identity on the unpruned candidate path.
+/// Paper scale, on the unpruned candidate path.
 #[test]
 fn q_rows_layouts_agree_at_n100() {
     assert_q_rows_invariant(100, 5, 8, 1.0);
 }
 
 /// Large-N configuration: k = 50 activates the Theorem-1 candidate
-/// budget, so the sparse rows run at their eviction boundary while the
-/// dense oracle (1000·1001 entries, still under the cap) records the
-/// same values — streams must not diverge.
+/// budget, so this covers the pruned candidate path.
 #[test]
 fn q_rows_layouts_agree_at_n1000() {
     assert_q_rows_invariant(1000, 50, 3, 5.0);
