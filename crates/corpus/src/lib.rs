@@ -18,8 +18,8 @@
 //!   residue-fraction bounds) — where a golden ledger would be too big
 //!   to review.
 //! - **Equivalence** cells byte-diff every documented-equivalent config
-//!   pair in one process: thread counts, head-index modes, q-rows
-//!   layouts, sync vs async sink, and the `--spec`-JSON round trip.
+//!   pair in one process: thread counts, head-index modes, sync vs
+//!   async sink, and the `--spec`-JSON round trip.
 //!
 //! Every cell runs through [`qlec_cli::commands::run_spec`] — the same
 //! construction path `qlec-sim run` executes — so a diff here is a diff
@@ -31,7 +31,6 @@ pub mod soak;
 
 use qlec_cli::commands::run_spec;
 use qlec_cli::spec::SimSpec;
-use qlec_core::params::QRowsMode;
 use qlec_geom::{Aabb, Vec3};
 use qlec_net::{FaultEvent, FaultPlan, MergeOutcome, SimReport};
 use qlec_obs::{AsyncJsonLinesSink, EventsMode, JsonLinesSink, ObserverSet};
@@ -178,8 +177,6 @@ pub enum Axis {
     Threads,
     /// `--head-index incremental` vs `rebuild`.
     HeadIndex,
-    /// `--q-rows sparse` vs `dense`.
-    QRows,
     /// `--sink sync` vs `async` (block backpressure).
     Sink,
     /// Spec → JSON → spec round trip reproduces the run.
@@ -392,11 +389,6 @@ pub fn matrix() -> Vec<Cell> {
             kind: CellKind::Equivalence(Axis::HeadIndex),
         },
         Cell {
-            name: "equivalence/q-rows",
-            spec: medium.clone(),
-            kind: CellKind::Equivalence(Axis::QRows),
-        },
-        Cell {
             name: "equivalence/sink",
             spec: SimSpec {
                 n: 100,
@@ -580,26 +572,6 @@ fn run_equivalence_cell(cell: &Cell) -> Result<(), String> {
                 let run = run_cell(&spec, EventsMode::Full, false)?;
                 expect_identical(
                     &format!("head-index {mode:?}, threads {threads}"),
-                    &base,
-                    &run,
-                )?;
-            }
-            Ok(())
-        }
-        CellKind::Equivalence(Axis::QRows) => {
-            for (threads, q_rows) in [
-                (1, QRowsMode::Dense),
-                (2, QRowsMode::Sparse),
-                (2, QRowsMode::Dense),
-            ] {
-                let spec = SimSpec {
-                    threads,
-                    q_rows,
-                    ..cell.spec.clone()
-                };
-                let run = run_cell(&spec, EventsMode::Full, false)?;
-                expect_identical(
-                    &format!("q-rows {}, threads {threads}", q_rows.label()),
                     &base,
                     &run,
                 )?;

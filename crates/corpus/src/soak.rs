@@ -7,7 +7,7 @@
 
 use crate::{check_run, report_fingerprint, run_cell};
 use qlec_cli::spec::SimSpec;
-use qlec_core::params::{CandidatePolicy, HeadIndexMode, QRowsMode};
+use qlec_core::params::{CandidatePolicy, HeadIndexMode};
 use qlec_geom::{Aabb, Vec3};
 use qlec_net::{FaultEvent, FaultPlan, LinkEnd};
 use qlec_obs::EventsMode;
@@ -78,8 +78,11 @@ pub struct SoakSummary {
 /// knob here must survive `SimSpec::to_json` → `from_json`, which
 /// `failure_of` asserts on every trial. `threads` is the comparison
 /// run's worker count, drawn from 2–4; the base run always uses one.
+/// The N = 400 arm reaches k ≥ 16, where `--candidates auto` starts
+/// pruning (the Theorem-1 budget drops below k), so the pruned
+/// `Send-Data` path that runs at scale is sampled too.
 pub fn sample_spec(rng: &mut StdRng) -> SimSpec {
-    let n = *pick(rng, &[16usize, 24, 32, 48, 64, 96]);
+    let n = *pick(rng, &[16usize, 24, 32, 48, 64, 96, 400]);
     let k = rng.gen_range(2..=2.max(n / 6));
     let protocol = if rng.gen_bool(0.7) {
         "qlec"
@@ -118,13 +121,9 @@ pub fn sample_spec(rng: &mut StdRng) -> SimSpec {
         } else {
             HeadIndexMode::Rebuild
         },
-        q_rows: if rng.gen_bool(0.5) {
-            QRowsMode::Sparse
-        } else {
-            QRowsMode::Dense
-        },
         threads: rng.gen_range(2..=4),
         faults,
+        ..SimSpec::default()
     }
 }
 
@@ -396,6 +395,25 @@ mod tests {
                 .unwrap_or_else(|e| panic!("trial {trial}: {e}"));
             assert_eq!(back, spec, "trial {trial} lost a knob in JSON");
         }
+    }
+
+    #[test]
+    fn sampling_reaches_the_pruned_auto_budget() {
+        // The soak's own per-trial streams (seed 42, trial t → 42 + t).
+        // Without the N = 400 arm only k = 16 at N = 96 prunes (11 of
+        // these trials); with it, 78 do. Require the routine rate.
+        let pruned = (0..2000u64)
+            .filter(|&trial| {
+                let spec = sample_spec(&mut StdRng::seed_from_u64(42 + trial));
+                spec.protocol == "qlec"
+                    && spec.candidates == CandidatePolicy::Auto
+                    && spec.candidates.budget(spec.k).is_some_and(|c| c < spec.k)
+            })
+            .count();
+        assert!(
+            pruned >= 20,
+            "{pruned} of 2000 sampled specs prune under --candidates auto"
+        );
     }
 
     #[test]

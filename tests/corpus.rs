@@ -2,9 +2,9 @@
 //! checked-in golden ledgers, and replay every soak-found regression
 //! spec filed under `tests/corpus/regressions/`.
 //!
-//! This is the in-process replacement for the four shell-script
-//! equivalence jobs CI used to run (sink, merge, q-rows, spec-vs-flags)
-//! — one binary-identical code path, one failure report.
+//! This is the in-process replacement for the shell-script equivalence
+//! jobs CI used to run (sink, merge, spec-vs-flags) — one
+//! binary-identical code path, one failure report.
 
 use qlec_corpus::soak::failure_of;
 use qlec_corpus::{default_golden_dir, run_matrix, GoldenMode};
