@@ -1094,6 +1094,45 @@ fn compare_against_baseline(
     Ok(regressions)
 }
 
+/// Flags that take the next argument as their value.
+const VALUE_FLAGS: [&str; 11] = [
+    "--sizes",
+    "--threads",
+    "--rounds",
+    "--candidates",
+    "--head-index",
+    "--lambda",
+    "--seed",
+    "--events-sink",
+    "--out",
+    "--compare",
+    "--gate-thread-scaling",
+];
+
+/// Flags that stand alone.
+const SWITCH_FLAGS: [&str; 2] = ["--append", "--validate"];
+
+/// Reject anything that is not a known flag (with its value, for
+/// [`VALUE_FLAGS`]): a misspelt or retired flag would otherwise be
+/// ignored and the sweep would run with a default in its place.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("{arg} needs a value"));
+            }
+        } else if !SWITCH_FLAGS.contains(&arg.as_str()) {
+            let allowed: Vec<&str> = VALUE_FLAGS.iter().chain(&SWITCH_FLAGS).copied().collect();
+            return Err(format!(
+                "unknown option {arg} (allowed: {})",
+                allowed.join(", ")
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
@@ -1124,6 +1163,9 @@ fn positive_list(text: &str, flag: &str) -> Vec<usize> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = check_flags(&args) {
+        die(&e);
+    }
     let sizes = positive_list(
         &flag_value(&args, "--sizes").unwrap_or_else(|| "100,1000,10000".into()),
         "--sizes",
@@ -2046,5 +2088,61 @@ mod tests {
         assert_eq!(flag_value(&args, "--sizes").as_deref(), Some("100,200"));
         assert_eq!(flag_value(&args, "--rounds").as_deref(), Some("3"));
         assert_eq!(flag_value(&args, "--out"), None);
+    }
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        assert_eq!(check_flags(&[]), Ok(()));
+        assert_eq!(
+            check_flags(&strings(&["--sizes", "100", "--append", "--validate"])),
+            Ok(())
+        );
+        // The retired `--q-rows` axis names itself and the allowed set.
+        let err = check_flags(&strings(&["--sizes", "100", "--q-rows", "dense"])).unwrap_err();
+        assert!(err.starts_with("unknown option --q-rows"), "{err}");
+        for flag in VALUE_FLAGS.iter().chain(&SWITCH_FLAGS) {
+            assert!(err.contains(flag), "{err} does not list {flag}");
+        }
+        // A value is not mistaken for a flag, a stray word is not a value.
+        assert_eq!(check_flags(&strings(&["--out", "--validate"])), Ok(()));
+        let err = check_flags(&strings(&["--validate", "extra"])).unwrap_err();
+        assert!(err.starts_with("unknown option extra"), "{err}");
+        assert_eq!(
+            check_flags(&strings(&["--rounds"])),
+            Err("--rounds needs a value".into())
+        );
+    }
+
+    /// Every `scale` invocation in the CI workflow (a folded `run: >`
+    /// block: the `--bin scale --` line, then lines of flags) parses.
+    #[test]
+    fn ci_scale_invocations_parse() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../.github/workflows/ci.yml"
+        );
+        let ci = std::fs::read_to_string(path).expect("CI workflow readable");
+        let mut lines = ci.lines().peekable();
+        let mut seen = 0;
+        while let Some(line) = lines.next() {
+            if !line.trim_end().ends_with("--bin scale --") {
+                continue;
+            }
+            let mut args = Vec::new();
+            while let Some(next) = lines.peek() {
+                if !next.trim_start().starts_with("--") {
+                    break;
+                }
+                args.extend(next.split_whitespace().map(str::to_string));
+                lines.next();
+            }
+            assert_eq!(check_flags(&args), Ok(()), "CI invocation {args:?}");
+            seen += 1;
+        }
+        assert!(seen >= 4, "found only {seen} scale invocations in {path}");
     }
 }

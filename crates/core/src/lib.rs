@@ -25,6 +25,7 @@
 
 pub mod ablation;
 pub mod deec_improved;
+mod fxhash;
 pub mod kopt;
 pub mod multihop;
 pub mod params;

@@ -12,6 +12,7 @@
 //!    their own V values — lines 13–15.
 
 use crate::deec_improved::{select_heads_from_roster, SelectionFeatures, SelectionOutcome};
+use crate::fxhash::FxHashMap;
 use crate::kopt;
 use crate::params::{CandidatePolicy, HeadIndexMode, QlecParams};
 use crate::qrouting::{ActionConst, QRouter};
@@ -20,7 +21,6 @@ use qlec_net::protocol::{nearest_head, PlanScratch, RoutePlanner};
 use qlec_net::{Network, NodeId, Protocol, Target};
 use qlec_obs::{Event, ObserverSet, Phase};
 use rand::RngCore;
-use std::collections::HashMap;
 
 /// QLEC with its feature switchboard (all features on = the paper's
 /// algorithm; see [`crate::ablation`] for the toggled variants).
@@ -38,7 +38,7 @@ pub struct QlecProtocol {
     pub last_selection: Option<SelectionOutcome>,
     /// Targets that NACKed the packet currently being sent, per source
     /// (cleared by `on_packet_start`; retries avoid them).
-    failed_this_packet: std::collections::HashMap<NodeId, Vec<Target>>,
+    failed_this_packet: FxHashMap<NodeId, Vec<Target>>,
     /// Fraction of a member packet that rides the head's fused BS
     /// transmission (the data-fusion compression ratio, Table 2: 0.5);
     /// scales the head-update transmission cost — see
@@ -93,7 +93,7 @@ pub struct QlecProtocol {
     /// node this round pays the tree walk and later ones reuse it; the
     /// alive filter stays live, so heads that die mid-round drop out of
     /// the candidate set exactly as a fresh query would drop them.
-    retarget_knn: HashMap<u32, Vec<(u32, f64)>>,
+    retarget_knn: FxHashMap<u32, Vec<(u32, f64)>>,
 }
 
 /// Fluent configuration for [`QlecProtocol`] — the one way to assemble a
@@ -236,7 +236,7 @@ impl QlecBuilder {
             grid: None,
             router: None,
             last_selection: None,
-            failed_this_packet: std::collections::HashMap::new(),
+            failed_this_packet: FxHashMap::default(),
             aggregate_share: self.aggregate_share,
             name: self.name,
             obs: self.obs,
@@ -250,7 +250,7 @@ impl QlecBuilder {
             roster_alive: Vec::new(),
             knn_buf: Vec::new(),
             candidate_buf: Vec::new(),
-            retarget_knn: HashMap::new(),
+            retarget_knn: FxHashMap::default(),
         }
     }
 }
@@ -630,7 +630,7 @@ struct QlecPlanScratch {
     v_src: f64,
     /// Pending link-belief updates, keyed by destination (`u32::MAX` =
     /// BS) — all entries share `src`, so the source id is implicit.
-    overlay: HashMap<u32, f64>,
+    overlay: FxHashMap<u32, f64>,
     /// Targets that NACKed the packet currently being planned.
     nacked: Vec<Target>,
     knn_buf: Vec<(u32, f64)>,
@@ -662,7 +662,7 @@ impl RoutePlanner for QlecProtocol {
     fn begin_node(&self, _net: &Network, src: NodeId) -> PlanScratch {
         Box::new(QlecPlanScratch {
             v_src: self.router.as_ref().map_or(0.0, |r| r.v_of(src)),
-            overlay: HashMap::new(),
+            overlay: FxHashMap::default(),
             nacked: Vec::new(),
             knn_buf: Vec::new(),
             knn_out: Vec::new(),
@@ -744,7 +744,7 @@ impl RoutePlanner for QlecProtocol {
             heads
         };
         let start_ns = self.obs.now_ns();
-        let overlay_ref: &HashMap<u32, f64> = overlay;
+        let overlay_ref: &FxHashMap<u32, f64> = overlay;
         let p_base = |t: Target| -> f64 {
             match overlay_ref.get(&overlay_key(t)) {
                 Some(&p) => p,

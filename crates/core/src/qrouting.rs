@@ -25,10 +25,10 @@
 //! normalized by the cost at a reference distance, so the Table 2 weights
 //! are meaningful on any deployment.
 
+use crate::fxhash::FxHashMap;
 use crate::params::QlecParams;
 use qlec_mdp::{ConvergenceTracker, UpdateCounter};
 use qlec_net::{Network, NodeId, Target};
-use std::collections::HashMap;
 
 /// Key for the link-probability table: `(source, destination)` with
 /// `u32::MAX` standing in for the base station.
@@ -49,7 +49,7 @@ fn key_of(src: NodeId, target: Target) -> LinkKey {
 pub struct LinkEstimator {
     weight: f64,
     prior: f64,
-    table: HashMap<LinkKey, f64>,
+    table: FxHashMap<LinkKey, f64>,
 }
 
 impl LinkEstimator {
@@ -60,7 +60,7 @@ impl LinkEstimator {
         LinkEstimator {
             weight,
             prior,
-            table: HashMap::new(),
+            table: FxHashMap::default(),
         }
     }
 

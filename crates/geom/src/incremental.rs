@@ -12,15 +12,17 @@
 //! configurable fraction of the tree — the same churn-threshold policy as
 //! [`crate::UniformGrid`].
 //!
-//! Queries return the `k` nearest **by `(distance, id)` order**, which
-//! makes results independent of tree shape: a freshly rebuilt index and an
-//! incrementally maintained one answer identically for the same live point
-//! set (up to exact distance ties at the cut-off, which have measure zero
-//! for points in general position). That property is what lets the
-//! protocol's rebuild-per-round and incremental modes produce byte-equal
-//! event streams.
+//! Queries return exactly the first `k` live points **in `(distance²,
+//! id)` order**, ties included, which makes results independent of tree
+//! shape: a freshly rebuilt index and an incrementally maintained one
+//! answer identically for the same live point set. The tree lays its
+//! points out in ascending id order, so its own `(distance², point
+//! index)` order is the `(distance², id)` order, and the tombstone
+//! over-fetch window is an exact prefix of the brute-force ranking. That
+//! property is what lets the protocol's rebuild-per-round and incremental
+//! modes produce byte-equal event streams.
 
-use crate::kdtree::KdTree;
+use crate::kdtree::{knn_order, KdTree};
 use crate::vec3::Vec3;
 use std::collections::HashMap;
 
@@ -113,18 +115,20 @@ impl IncrementalKdIndex {
         self.slot.contains_key(&id)
     }
 
-    /// Discard all incremental state and rebuild the tree from `items`.
-    /// Ids must be unique.
+    /// Discard all incremental state and rebuild the tree from `items`,
+    /// laid out in ascending id order. Ids must be unique.
     pub fn rebuild_from(&mut self, items: &[(u32, Vec3)]) {
-        self.tree = KdTree::build(items.iter().map(|&(_, p)| p).collect());
+        let mut by_id = items.to_vec();
+        by_id.sort_unstable_by_key(|&(id, _)| id);
+        self.tree = KdTree::build(by_id.iter().map(|&(_, p)| p).collect());
         self.ids.clear();
-        self.ids.extend(items.iter().map(|&(id, _)| id));
+        self.ids.extend(by_id.iter().map(|&(id, _)| id));
         self.tombstone.clear();
         self.tombstone.resize(items.len(), false);
         self.dead = 0;
         self.extras.clear();
         self.slot.clear();
-        for (ti, &(id, _)) in items.iter().enumerate() {
+        for (ti, &id) in self.ids.iter().enumerate() {
             let prev = self.slot.insert(id, Slot::Tree(ti as u32));
             assert!(prev.is_none(), "duplicate id {id} in rebuild_from");
         }
@@ -213,6 +217,8 @@ impl IncrementalKdIndex {
             // Over-fetch by the tombstone count: of the (k + dead) nearest
             // tree points at most `dead` are tombstoned, so at least k
             // live ones survive the filter (or the tree is exhausted).
+            // Tree indices ascend with ids, so the window is the exact
+            // `(distance², id)` prefix of the tree's points.
             let window = (k + self.dead).min(self.tree.len());
             self.tree.k_nearest_into(q, window, scratch);
             out.extend(
@@ -222,8 +228,10 @@ impl IncrementalKdIndex {
                     .map(|&(ti, d)| (self.ids[ti as usize], d)),
             );
         }
-        out.extend(self.extras.iter().map(|&(id, p)| (id, p.dist_sq(q))));
-        out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        if !self.extras.is_empty() {
+            out.extend(self.extras.iter().map(|&(id, p)| (id, p.dist_sq(q))));
+            out.sort_unstable_by(knn_order);
+        }
         out.truncate(k);
     }
 }

@@ -9,6 +9,7 @@
 //! The tree is built once (median splits, `O(n log n)`) and is immutable.
 
 use crate::vec3::Vec3;
+use std::cmp::Ordering;
 
 #[derive(Debug, Clone)]
 struct Node {
@@ -143,8 +144,11 @@ impl KdTree {
         }
     }
 
-    /// Indices of the `k` nearest points to `q`, sorted by ascending
-    /// distance. Returns fewer when the tree holds fewer points.
+    /// Indices of the `k` nearest points to `q` with their squared
+    /// distances, sorted ascending by `(squared distance, point index)`:
+    /// exactly the first `k` of all points in that order, so equal
+    /// distances break by index whatever the tree shape. Returns fewer
+    /// when the tree holds fewer points.
     pub fn k_nearest(&self, q: Vec3, k: usize) -> Vec<(u32, f64)> {
         let mut out = Vec::new();
         self.k_nearest_into(q, k, &mut out);
@@ -152,27 +156,32 @@ impl KdTree {
     }
 
     /// [`KdTree::k_nearest`] into a caller-provided buffer (cleared
-    /// first) — the allocation-free variant for per-packet queries.
+    /// first), in the same `(squared distance, point index)` order — the
+    /// allocation-free variant for per-packet queries.
     pub fn k_nearest_into(&self, q: Vec3, k: usize, out: &mut Vec<(u32, f64)>) {
         out.clear();
         if self.root == NIL || k == 0 {
             return;
         }
-        out.reserve(k + 1);
+        out.reserve(k);
         self.knn_rec(self.root, q, k, out);
-        out.sort_by(|a, b| a.1.total_cmp(&b.1));
+        out.sort_unstable_by(knn_order);
     }
 
+    /// Branch-and-bound k-nearest walk. `heap` holds the best `k` seen so
+    /// far as a binary max-heap under [`knn_order`], so `heap[0]` is the
+    /// one to evict.
     fn knn_rec(&self, ni: i32, q: Vec3, k: usize, heap: &mut Vec<(u32, f64)>) {
         let node = &self.nodes[ni as usize];
         let p = self.points[node.point as usize];
-        let d = p.dist_sq(q);
+        let hit = (node.point, p.dist_sq(q));
         if heap.len() < k {
-            heap.push((node.point, d));
-            heap.sort_by(|a, b| b.1.total_cmp(&a.1)); // worst first
-        } else if d < heap[0].1 {
-            heap[0] = (node.point, d);
-            heap.sort_by(|a, b| b.1.total_cmp(&a.1));
+            let last = heap.len();
+            heap.push(hit);
+            sift_up(heap, last);
+        } else if knn_order(&hit, &heap[0]).is_lt() {
+            heap[0] = hit;
+            sift_down(heap, 0);
         }
         let axis = node.axis as usize;
         let delta = q[axis] - p[axis];
@@ -184,14 +193,50 @@ impl KdTree {
         if near != NIL {
             self.knn_rec(near, q, k, heap);
         }
-        let worst = if heap.len() < k {
-            f64::INFINITY
-        } else {
-            heap[0].1
-        };
-        if far != NIL && delta * delta < worst {
+        // `<=`, not `<`: a far-side point exactly as far as the current
+        // worst still wins the tie when its index is smaller.
+        if far != NIL && (heap.len() < k || delta * delta <= heap[0].1) {
             self.knn_rec(far, q, k, heap);
         }
+    }
+}
+
+/// The k-nearest result order: squared distance, then point index (or
+/// id, for callers that map indices to ids monotonically).
+pub(crate) fn knn_order(a: &(u32, f64), b: &(u32, f64)) -> Ordering {
+    a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
+}
+
+/// Restore the max-heap property upwards from `i`.
+fn sift_up(heap: &mut [(u32, f64)], mut i: usize) {
+    while i > 0 {
+        let parent = (i - 1) / 2;
+        if knn_order(&heap[i], &heap[parent]).is_le() {
+            break;
+        }
+        heap.swap(i, parent);
+        i = parent;
+    }
+}
+
+/// Restore the max-heap property downwards from `i`.
+fn sift_down(heap: &mut [(u32, f64)], mut i: usize) {
+    loop {
+        let left = 2 * i + 1;
+        if left >= heap.len() {
+            break;
+        }
+        let right = left + 1;
+        let child = if right < heap.len() && knn_order(&heap[right], &heap[left]).is_gt() {
+            right
+        } else {
+            left
+        };
+        if knn_order(&heap[child], &heap[i]).is_le() {
+            break;
+        }
+        heap.swap(i, child);
+        i = child;
     }
 }
 
